@@ -1,11 +1,13 @@
 GO ?= go
 
-.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload bench bench-write bench-range bench-snapshot bench-ingest bench-node bench-server backup obs docslint server
+.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-frame bench bench-write bench-range bench-snapshot bench-ingest bench-node bench-server backup obs docslint server
 
 # The standard verification gate: static checks, build, full test suite
-# (including the runnable godoc examples), the documentation lint (every
-# ```go fence in README.md/DESIGN.md must still compile or parse), and
-# the concurrency stress subset under the race detector (the full -race
+# (including the runnable godoc examples), the storage-engine packages
+# again at GOMAXPROCS 1, 2 and 4 (no test's verdict may depend on the
+# core count), the documentation lint (every ```go fence in
+# README.md/DESIGN.md must still compile or parse), and the concurrency
+# stress subset under the race detector (the full -race
 # run stays in the dedicated `race` target). The race smoke subset
 # covers the reader/writer stress tests, the group-commit/batch write
 # path (TestGroupCommit* in internal/wal, TestConcurrentBatch* in
@@ -13,9 +15,7 @@ GO ?= go
 # the histogram core (TestConcurrentHistogram in internal/obs) and the
 # parallel range-query engine (TestParallelRange* in internal/bvtree),
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
-# internal/bvtree) and the write-buffer battery (TestBuffered* in
-# internal/bvtree: the differential programs, the crash sweeps and the
-# concurrent buffered-access stress) and the columnar node-layout smoke
+# internal/bvtree) and the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
 # writer driving gap appends and mirror rebuilds), and the sharded
 # service (TestShard* in internal/shard: the N-shard-vs-single-tree
@@ -27,8 +27,9 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/bvtree ./internal/wal ./internal/storage
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestBuffered|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.
@@ -81,8 +82,8 @@ bench-snapshot:
 	$(GO) run ./cmd/bvbench -snapshot -writers 4 -writer-ops 3000
 
 # Write-optimized ingestion: durable single-writer load under per-op
-# inserts, z-sorted batches, batches into a write-buffered tree, and the
-# sampling-based parallel BulkLoad; regenerates BENCH_ingest.json.
+# inserts, z-sorted batches and the sampling-based parallel BulkLoad;
+# regenerates BENCH_ingest.json.
 # Parallel rows are flagged saturated when GOMAXPROCS < 2. See
 # DESIGN.md §13.
 bench-ingest:
@@ -100,6 +101,14 @@ bench-node:
 # invariant check and scans back to exactly the input multiset.
 fuzz-bulkload:
 	$(GO) test -run '^$$' -fuzz=FuzzBulkLoad -fuzztime=30s ./internal/bvtree
+
+# Coverage-guided fuzzing of the network-facing wire decoder: arbitrary
+# connection bytes are split by readFrame and executed against an
+# in-memory router; every frame must end in a framing error or a reply
+# with a defined status, never a panic or a request allocating more than
+# the frame limit.
+fuzz-frame:
+	$(GO) test -run '^$$' -fuzz=FuzzFrame -fuzztime=30s ./internal/shard
 
 # Observability overhead: per-op cost of Lookup/Insert with metrics and
 # tracing off/on (budget: ≤5% per enabled op, 0 when off); regenerates

@@ -30,8 +30,8 @@
 // range walk against the parallel range engine across a selectivity
 // sweep on a file-backed 500k-point tree and writes
 // BENCH_rangequery.json. The -ingest mode compares single-writer durable
-// ingestion disciplines — per-op inserts, z-sorted batches, batches into
-// a write-buffered tree, and the parallel BulkLoad — and writes
+// ingestion disciplines — per-op inserts, z-sorted batches and the
+// parallel BulkLoad — and writes
 // BENCH_ingest.json. The -server mode stands up an in-process sharded
 // bvserver (durable backend, sampling-chosen shard plan) and drives it
 // over loopback TCP with a closed-loop mixed workload at increasing

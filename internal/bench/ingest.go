@@ -17,10 +17,9 @@ import (
 // IngestReport is the JSON artifact emitted by bvbench -ingest. It
 // compares durable ingestion throughput on one writer across the write
 // disciplines the tree offers: acknowledged-per-operation inserts (the
-// baseline), z-sorted batches, batches into a write-buffered tree, and
-// the sampling-based parallel BulkLoad. Every mode loads the same points
-// into a fresh file-backed durable tree and is measured to full
-// durability — buffered rows include the final flush. The speedup column
+// baseline), z-sorted batches, and the sampling-based parallel
+// BulkLoad. Every mode loads the same points into a fresh file-backed
+// durable tree and is measured to full durability. The speedup column
 // is throughput relative to the serial row; rows that depend on CPU
 // parallelism are flagged saturated when GOMAXPROCS leaves them no
 // headroom, so single-CPU runs do not overstate the parallel build.
@@ -29,7 +28,6 @@ type IngestReport struct {
 	N          int            `json:"n"`
 	Dims       int            `json:"dims"`
 	BatchSize  int            `json:"batch_size"`
-	BufferOps  int            `json:"buffer_ops"`
 	CPUs       int            `json:"cpus"`
 	GoMaxProcs int            `json:"gomaxprocs"`
 	Results    []IngestResult `json:"results"`
@@ -48,10 +46,7 @@ type IngestResult struct {
 	Saturated bool `json:"saturated,omitempty"`
 }
 
-const (
-	ingestBatchSize = 1024
-	ingestBufferOps = 4096
-)
+const ingestBatchSize = 1024
 
 // RunIngest measures durable single-writer ingestion of n uniform 2-D
 // points under each write discipline. Progress goes to w; the returned
@@ -75,7 +70,6 @@ func RunIngest(w io.Writer, n int) (*IngestReport, error) {
 		N:          n,
 		Dims:       dims,
 		BatchSize:  ingestBatchSize,
-		BufferOps:  ingestBufferOps,
 		CPUs:       runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
@@ -99,12 +93,6 @@ func RunIngest(w io.Writer, n int) (*IngestReport, error) {
 		{name: "batch", run: func(d *bvtree.DurableTree) error {
 			return ingestBatches(d, pts, payloads)
 		}},
-		{name: "buffered-batch", run: func(d *bvtree.DurableTree) error {
-			if err := ingestBatches(d, pts, payloads); err != nil {
-				return err
-			}
-			return d.FlushBuffer()
-		}},
 		{name: "bulkload", parallel: true, run: func(d *bvtree.DurableTree) error {
 			return d.BulkLoad(pts, payloads)
 		}},
@@ -112,11 +100,7 @@ func RunIngest(w io.Writer, n int) (*IngestReport, error) {
 
 	var base float64
 	for _, m := range modes {
-		bops := 0
-		if m.name == "buffered-batch" {
-			bops = ingestBufferOps
-		}
-		res, err := runIngestMode(n, bops, m.run)
+		res, err := runIngestMode(n, m.run)
 		if err != nil {
 			return nil, fmt.Errorf("ingest %s: %w", m.name, err)
 		}
@@ -151,9 +135,8 @@ func ingestBatches(d *bvtree.DurableTree, pts []geometry.Point, payloads []uint6
 }
 
 // runIngestMode times one discipline against a fresh file-backed durable
-// tree; the clock stops when every operation is acknowledged durable and
-// (for buffered modes) applied.
-func runIngestMode(n, bufferOps int, run func(d *bvtree.DurableTree) error) (*IngestResult, error) {
+// tree; the clock stops when every operation is acknowledged durable.
+func runIngestMode(n int, run func(d *bvtree.DurableTree) error) (*IngestResult, error) {
 	dir, err := os.MkdirTemp("", "bvbench-ingest-")
 	if err != nil {
 		return nil, err
@@ -165,9 +148,8 @@ func runIngestMode(n, bufferOps int, run func(d *bvtree.DurableTree) error) (*In
 		return nil, err
 	}
 	defer st.Close()
-	d, err := bvtree.NewDurableOpts(st, filepath.Join(dir, "t.wal"),
-		bvtree.Options{Dims: 2, DataCapacity: 16, Fanout: 16},
-		bvtree.DurableOptions{BufferOps: bufferOps})
+	d, err := bvtree.NewDurable(st, filepath.Join(dir, "t.wal"),
+		bvtree.Options{Dims: 2, DataCapacity: 16, Fanout: 16})
 	if err != nil {
 		return nil, err
 	}

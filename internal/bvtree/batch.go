@@ -47,23 +47,16 @@ func (t *Tree) ApplyBatch(ops []BatchOp) error {
 	return err
 }
 
-// applyBatchLocked is ApplyBatch's body (exclusive lock held). When a
-// write buffer is attached the batch routes through it like every other
-// mutation path — the staging cost is O(1) per op and full groups flush
-// inline.
+// applyBatchLocked is ApplyBatch's body (exclusive lock held).
 func (t *Tree) applyBatchLocked(ops []BatchOp) error {
-	ins, del := t.insertLocked, t.deleteLocked
-	if t.buf != nil {
-		ins, del = t.bufferedInsert, t.bufferedDelete
-	}
 	for i := range ops {
 		op := &ops[i]
 		if op.Delete {
-			if _, err := del(op.Point, op.Payload); err != nil {
+			if _, err := t.deleteLocked(op.Point, op.Payload); err != nil {
 				return err
 			}
 		} else {
-			if err := ins(op.Point, op.Payload); err != nil {
+			if err := t.insertLocked(op.Point, op.Payload); err != nil {
 				return err
 			}
 		}

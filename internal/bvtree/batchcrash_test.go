@@ -110,15 +110,33 @@ func TestBatchCrashPrefixSweep(t *testing.T) {
 	}
 }
 
+// settleCheckpoints blocks until d's background checkpointer has run
+// every checkpoint kicked so far. Called after each foreground insert,
+// it makes the sequence of store operations — the insert's, then those
+// of any checkpoint it kicked — independent of goroutine scheduling.
+func settleCheckpoints(d *DurableTree) {
+	cp := d.cp
+	for {
+		cp.mu.Lock()
+		idle := cp.runs >= cp.kicks
+		cp.mu.Unlock()
+		if idle {
+			return
+		}
+		<-cp.ran
+	}
+}
+
 // TestBatchCrashDuringBackgroundCheckpoint sweeps a crash across the
 // store operations of a workload whose size-triggered background
-// checkpointer runs underneath foreground inserts. The fault lands
-// either on a foreground allocation (file extension) or inside the
-// background checkpoint's flush — the sweep classifies each hit and
-// requires that several land inside the checkpoint. Either way the store
-// is poisoned; reopening rolls any interrupted flush back to the prior
-// epoch and replays the log, so every acknowledged insert must be
-// present.
+// checkpointer runs between foreground inserts. Each insert waits out
+// the checkpoint it kicked (settleCheckpoints), so offset k lands on the
+// same store operation at any GOMAXPROCS: either a foreground
+// allocation (file extension) or the background checkpoint's flush. The
+// sweep classifies each hit and requires that several land inside the
+// checkpoint. Either way the store is poisoned; reopening rolls any
+// interrupted flush back to the prior epoch and replays the log, so
+// every acknowledged insert must be present.
 func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 	checkpointCrashes := 0
 	const sweep = 80
@@ -136,6 +154,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.cp.ran = make(chan struct{}, 1)
 		// A durable baseline epoch, below the size trigger so the
 		// background checkpointer has not yet run.
 		type ack struct {
@@ -148,6 +167,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 			if err := d.Insert(p, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
+			settleCheckpoints(d)
 			acked = append(acked, ack{p, uint64(i)})
 		}
 		if err := d.Checkpoint(); err != nil {
@@ -161,6 +181,7 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 		for i := 0; i < 400 && !storeFS.Injected(); i++ {
 			p := geometry.Point{uint64(i+1) << 29, uint64(400-i) << 47}
 			err := d.Insert(p, uint64(1000+i))
+			settleCheckpoints(d)
 			if err != nil {
 				// A crash (wherever it landed) poisons the store; inserts
 				// from then on fail and are not acknowledged.
@@ -171,8 +192,8 @@ func TestBatchCrashDuringBackgroundCheckpoint(t *testing.T) {
 			}
 			acked = append(acked, ack{p, uint64(1000 + i)})
 		}
-		// stopCheckpointer joins the goroutine, waiting out any in-flight
-		// checkpoint (a poisoned store fails it fast).
+		// stopCheckpointer joins the goroutine; settleCheckpoints already
+		// waited out every kicked checkpoint.
 		cpErr := d.stopCheckpointer()
 
 		if !storeFS.Injected() {

@@ -27,8 +27,7 @@ import (
 // under the tree's exclusive lock, so the parallelism lives in the
 // address and sort passes where the wins are.
 //
-// On a non-empty tree (or with a non-empty write buffer) it degrades to
-// a z-order-sorted batch apply: the structure is identical in its
+// On a non-empty tree it degrades to a z-order-sorted batch apply: the structure is identical in its
 // guarantees to one built by arbitrary-order inserts, and consecutive
 // operations hit the same root-to-leaf path, keeping a paged tree's
 // buffer pool hot.
@@ -42,7 +41,7 @@ func (t *Tree) BulkLoad(points []geometry.Point, payloads []uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.endOp()
-	if t.size == 0 && t.rootLevel == 0 && t.buf.empty() {
+	if t.size == 0 && t.rootLevel == 0 {
 		return t.bulkLoadPacked(points, payloads)
 	}
 	ops := make([]BatchOp, len(points))

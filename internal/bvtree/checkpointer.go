@@ -38,6 +38,14 @@ type checkpointer struct {
 	mu      sync.Mutex
 	lastErr error
 	runs    uint64
+	kicks   uint64 // kicks delivered to the goroutine
+
+	// ran, when non-nil, is signalled (without blocking) after every
+	// checkpoint the goroutine runs. It is a test seam: waiting on it
+	// until runs catches up with kicks serialises each kicked checkpoint
+	// against the foreground, so a fault sweep lands on the checkpoint's
+	// own store operations by construction rather than by scheduling.
+	ran chan struct{}
 }
 
 // startCheckpointer launches the background checkpointer when cfg enables
@@ -85,6 +93,11 @@ func (d *DurableTree) kickIfLogFull() {
 	}
 	select {
 	case cp.kick <- struct{}{}:
+		// The kicked checkpoint needs d.mu, which the caller holds, so
+		// it cannot complete before this count is taken.
+		cp.mu.Lock()
+		cp.kicks++
+		cp.mu.Unlock()
 	default:
 	}
 }
@@ -141,4 +154,10 @@ func (cp *checkpointer) checkpoint(minBytes int64) {
 		cp.lastErr = err
 	}
 	cp.mu.Unlock()
+	if cp.ran != nil {
+		select {
+		case cp.ran <- struct{}{}:
+		default:
+		}
+	}
 }

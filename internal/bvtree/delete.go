@@ -21,16 +21,12 @@ func (t *Tree) Delete(p geometry.Point, payload uint64) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.endOp()
-	del := t.deleteLocked
-	if t.buf != nil {
-		del = t.bufferedDelete
-	}
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
-		return del(p, payload)
+		return t.deleteLocked(p, payload)
 	}
 	start := time.Now()
-	removed, err := del(p, payload)
+	removed, err := t.deleteLocked(p, payload)
 	dur := time.Since(start)
 	if m != nil {
 		m.Delete.Observe(int64(dur))

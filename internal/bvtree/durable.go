@@ -87,14 +87,6 @@ type DurableOptions struct {
 	// latency, group-commit batch shape, checkpoint cost), reported by
 	// (*DurableTree).Metrics.
 	Metrics bool
-	// BufferOps, when positive, attaches a write buffer of that many
-	// operations per index-node group to the tree (see Options.BufferOps).
-	// Durability is unchanged — every operation is WAL-logged and acked
-	// only after its group fsync, whether it is buffered or applied; crash
-	// recovery replays the log, which re-executes buffered-but-unflushed
-	// operations. On reopen the buffer is enabled only after replay
-	// completes, so recovery itself runs unbuffered.
-	BufferOps int
 }
 
 // NewDurable creates a durable tree over a fresh store, logging to
@@ -124,9 +116,6 @@ func NewDurableLog(st storage.Store, l *wal.Log, opt Options) (*DurableTree, err
 func NewDurableLogOpts(st storage.Store, l *wal.Log, opt Options, dopt DurableOptions) (*DurableTree, error) {
 	if dopt.Metrics {
 		opt.Metrics = true
-	}
-	if dopt.BufferOps > 0 {
-		opt.BufferOps = dopt.BufferOps
 	}
 	tr, err := NewPaged(st, opt)
 	if err != nil {
@@ -208,14 +197,6 @@ func OpenDurableLogOpts(st storage.Store, l *wal.Log, cacheNodes int, dopt Durab
 		return nil, fmt.Errorf("bvtree: %w: wal epoch %d ahead of store checkpoint epoch %d", wal.ErrCorrupt, l.Epoch(), tr.Epoch())
 	}
 	tr.setBaseLSN(d.lsn)
-	if dopt.BufferOps > 0 {
-		// Enabled only now: replay above ran unbuffered, so the recovered
-		// state is fully applied before any new operation can be deferred.
-		if err := tr.EnableBuffer(dopt.BufferOps); err != nil {
-			l.Close()
-			return nil, err
-		}
-	}
 	d.gc = wal.NewGroupCommitter(l, dopt.Group)
 	if dopt.Metrics {
 		tr.EnableMetrics()
@@ -537,11 +518,7 @@ func (d *DurableTree) LSN() uint64 {
 // stream format.
 func (d *DurableTree) SnapshotBackup(w io.Writer) (uint64, error) {
 	d.mu.Lock()
-	// snapshotFlushed drains any write buffer inside the pin's critical
-	// section; d.mu blocks all mutations meanwhile, so the pinned pages
-	// are exactly the effect of operations 1..lsn — including ones that
-	// were buffered when the call arrived.
-	s, err := d.Tree.snapshotFlushed()
+	s, err := d.Tree.Snapshot()
 	if err != nil {
 		d.mu.Unlock()
 		return 0, err

@@ -28,19 +28,12 @@ func (t *Tree) Insert(p geometry.Point, payload uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.endOp()
-	// Every mutation path routes through the buffer when one is attached;
-	// mixing buffered and direct application would let a direct delete
-	// miss a buffered insert.
-	ins := t.insertLocked
-	if t.buf != nil {
-		ins = t.bufferedInsert
-	}
 	m, tr := t.metrics, t.tracer
 	if m == nil && tr == nil {
-		return ins(p, payload)
+		return t.insertLocked(p, payload)
 	}
 	start := time.Now()
-	err := ins(p, payload)
+	err := t.insertLocked(p, payload)
 	dur := time.Since(start)
 	if m != nil {
 		m.Insert.Observe(int64(dur))

@@ -81,20 +81,11 @@ func (t *Tree) rangeWorkers(override int) int {
 }
 
 // rangeQueryLocked is the query body, run on a pinned immutable view
-// (or with the shared lock held, when the receiver is itself a view).
-// A view carrying a buffered-write overlay takes the merging wrapper;
-// everything else runs the raw traversal directly.
+// (or with the shared lock held, when the receiver is itself a view):
+// workers <= 1 runs the serial reference walk; otherwise the
+// breadth-first descent engages the parallel engine once the frontier
+// shows real fan-out.
 func (t *Tree) rangeQueryLocked(rect geometry.Rect, visit Visitor, workers int) error {
-	if ov := t.bov; ov != nil {
-		return t.rangeQueryOverlay(ov, rect, visit, workers)
-	}
-	return t.rangeQueryRaw(rect, visit, workers)
-}
-
-// rangeQueryRaw is the overlay-free traversal: workers <= 1 runs the
-// serial reference walk; otherwise the breadth-first descent engages
-// the parallel engine once the frontier shows real fan-out.
-func (t *Tree) rangeQueryRaw(rect geometry.Rect, visit Visitor, workers int) error {
 	if rect.Dims() != t.opt.Dims {
 		return fmt.Errorf("bvtree: query rect has %d dims, tree has %d", rect.Dims(), t.opt.Dims)
 	}
@@ -276,7 +267,7 @@ func qualifyRange(en *page.Entry, parentFull bool, dims int, rect geometry.Rect)
 // their containment flags) to idx, and returns the extended slices plus
 // the number of qualifiers. It is the one copy of the entry-filter
 // logic previously repeated by the breadth-first expansions of
-// parallelRange and countRaw, the engine's runTask and the serial
+// parallelRange and countLocked, the engine's runTask and the serial
 // count walk: batched Intersect64/Within64 passes over the columnar
 // mirror when the node has one, the scalar qualifyRange test per entry
 // otherwise. Appending to idx is stack-friendly: callers may treat idx
@@ -508,22 +499,8 @@ type countScratch struct {
 	coords []uint64
 }
 
-// countLocked is the count body (shared lock held). On a view with a
-// buffered-write overlay the raw count is corrected by the overlay's
-// exact delta (capped deletes make it exact; see buffer.go).
+// countLocked is the count body (shared lock held).
 func (t *Tree) countLocked(rect geometry.Rect, workers int) (int64, error) {
-	if ov := t.bov; ov != nil {
-		n, err := t.countRaw(rect, workers)
-		if err != nil {
-			return 0, err
-		}
-		return n + ov.countDelta(rect), nil
-	}
-	return t.countRaw(rect, workers)
-}
-
-// countRaw is the overlay-free count traversal.
-func (t *Tree) countRaw(rect geometry.Rect, workers int) (int64, error) {
 	if rect.Dims() != t.opt.Dims {
 		return 0, fmt.Errorf("bvtree: query rect has %d dims, tree has %d", rect.Dims(), t.opt.Dims)
 	}

@@ -59,14 +59,6 @@ type Options struct {
 	// is two clock reads and a few atomic adds per operation (measured in
 	// BENCH_obs.json). It can also be flipped later with EnableMetrics.
 	Metrics bool
-	// BufferOps, when positive, attaches a write buffer to the tree:
-	// inserts and deletes are staged in O(1) per operation and flushed
-	// downward in z-sorted batches of up to BufferOps operations per
-	// root subtree (see buffer.go and DESIGN.md §13). All reads observe
-	// buffered operations; Validate, CollectStats and backups describe
-	// the applied state, so call FlushBuffer before relying on them.
-	// It can also be enabled (or resized) later with EnableBuffer.
-	BufferOps int
 	// ScalarNodeScan disables the columnar node layout on the hot paths:
 	// entries are tested one at a time through the BitString and brick
 	// primitives, exactly as before the struct-of-arrays mirror existed.
@@ -100,9 +92,6 @@ func (o *Options) fill() error {
 	}
 	if o.RangeWorkers < 0 {
 		return fmt.Errorf("bvtree: negative RangeWorkers %d", o.RangeWorkers)
-	}
-	if o.BufferOps < 0 {
-		return fmt.Errorf("bvtree: negative BufferOps %d", o.BufferOps)
 	}
 	return nil
 }
@@ -174,14 +163,6 @@ type Tree struct {
 	// mv is the snapshot/epoch machinery (see mvcc.go); nil only on the
 	// immutable view trees mv itself creates.
 	mv *mvccState
-
-	// buf is the optional write buffer (Options.BufferOps, EnableBuffer);
-	// nil when buffering is off and always nil on view trees. Mutated
-	// only under the exclusive lock, read under the shared lock.
-	buf *writeBuffer
-	// bov is set only on view trees: the owner's buffered state captured
-	// at pin time, merged into the view's reads (see buffer.go).
-	bov *bufOverlay
 }
 
 // New returns an in-memory BV-tree.
@@ -266,17 +247,12 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 	return t, nil
 }
 
-// Flush drains the write buffer (if any), persists the tree's root
-// record and syncs the backing store. The persistence step is a no-op
-// for in-memory trees. The tree is only reopenable from state captured
-// by the last Flush; draining first is what keeps a durable checkpoint
-// from truncating the log while buffered operations are unapplied.
+// Flush persists the tree's root record and syncs the backing store. It
+// is a no-op for in-memory trees. The tree is only reopenable from state
+// captured by the last Flush.
 func (t *Tree) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.flushAllLocked(); err != nil {
-		return err
-	}
 	if t.bst == nil {
 		return nil
 	}
@@ -310,9 +286,6 @@ func newTree(ns NodeStore, pn *pagedNodes, bst storage.Store, opt Options) (*Tre
 	if opt.Metrics {
 		t.metrics = &obs.TreeMetrics{}
 	}
-	if opt.BufferOps > 0 {
-		t.buf = newWriteBuffer(opt.BufferOps)
-	}
 	id, _, err := ns.AllocData(region.BitString{})
 	if err != nil {
 		return nil, err
@@ -338,19 +311,11 @@ func (t *Tree) advanceEpoch() {
 	t.epoch++
 }
 
-// Len returns the number of stored items, counting buffered-but-
-// unflushed inserts and deletes (t.size itself tracks only applied
-// items — Validate's walk compares against it).
+// Len returns the number of stored items.
 func (t *Tree) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.size
-	if t.buf != nil {
-		n += t.buf.insN - t.buf.delN
-	} else if t.bov != nil {
-		n += t.bov.delta
-	}
-	return n
+	return t.size
 }
 
 // Height returns the index height h: the number of index levels above the

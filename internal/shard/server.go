@@ -232,6 +232,21 @@ type request struct {
 	errMsg string
 }
 
+// decodeRequest splits a frame payload (at least headerSize bytes, as
+// readFrame guarantees) into its header fields and body.
+func decodeRequest(payload []byte) request {
+	req := request{
+		op:   payload[1],
+		id:   binary.BigEndian.Uint32(payload[2:6]),
+		body: payload[headerSize:],
+	}
+	if payload[0] != ProtoVersion {
+		req.status = StatusBadVersion
+		req.errMsg = fmt.Sprintf("got version %#02x, want %#02x", payload[0], ProtoVersion)
+	}
+	return req
+}
+
 // serveConn runs one connection: a reader goroutine feeding a bounded
 // queue (the pipelining window / backpressure valve) and this
 // goroutine executing requests and writing responses in order.
@@ -261,16 +276,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			s.m.bytesIn.Add(uint64(len(payload)) + 4)
-			req := request{
-				op:   payload[1],
-				id:   binary.BigEndian.Uint32(payload[2:6]),
-				body: payload[headerSize:],
-			}
-			if payload[0] != ProtoVersion {
-				req.status = StatusBadVersion
-				req.errMsg = fmt.Sprintf("got version %#02x, want %#02x", payload[0], ProtoVersion)
-			}
-			reqc <- req
+			reqc <- decodeRequest(payload)
 		}
 	}()
 
