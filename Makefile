@@ -3,9 +3,9 @@ GO ?= go
 .PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-frame bench bench-write bench-range bench-snapshot bench-ingest bench-node bench-server backup obs docslint server
 
 # The standard verification gate: static checks, build, full test suite
-# (including the runnable godoc examples), the storage-engine packages
-# again at GOMAXPROCS 1, 2 and 4 (no test's verdict may depend on the
-# core count), the documentation lint (every ```go fence in
+# (including the runnable godoc examples), the storage-engine, page and
+# shard packages again at GOMAXPROCS 1, 2 and 4 (no test's verdict may
+# depend on the core count), the documentation lint (every ```go fence in
 # README.md/DESIGN.md must still compile or parse), and the concurrency
 # stress subset under the race detector (the full -race
 # run stays in the dedicated `race` target). The race smoke subset
@@ -27,7 +27,7 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/bvtree ./internal/wal ./internal/storage
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/bvtree ./internal/wal ./internal/storage ./internal/page ./internal/shard
 	$(GO) run ./cmd/docslint
 	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 

@@ -1,6 +1,6 @@
 // Command bvload bulk-loads a synthetic workload into a file-backed
 // BV-tree and optionally replays a query workload against it, reporting
-// logical node accesses and physical I/O from the buffer pool. It
+// logical node accesses and the page store's physical I/O. It
 // demonstrates the persistence path end to end: create, load, flush,
 // reopen, query.
 package main

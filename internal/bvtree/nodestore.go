@@ -130,13 +130,23 @@ const cacheShards = 16
 // nodeShard is one stripe of the decoded-node cache.
 type nodeShard struct {
 	mu    sync.Mutex
-	nodes map[page.ID]interface{}
+	nodes map[page.ID]cacheEntry
+}
+
+// cacheEntry is one decoded node with its second-chance reference bit:
+// a hit sets it, the eviction sweep clears it (both under the shard
+// latch).
+type cacheEntry struct {
+	v   interface{}
+	ref bool
 }
 
 // pagedNodes adapts a storage.Store: nodes are serialised through
-// package page. Decoded nodes are kept in a sharded cache; because every
-// mutation is saved (written through) before the operation returns, cached
-// nodes are always clean and can be evicted freely between operations.
+// package page. Decoded nodes are kept in a sharded cache — the tree's
+// only clean read cache (the store's buffer pool admits nothing on a
+// read); because every mutation is saved (written through) before the
+// operation returns, cached nodes are always clean and can be evicted
+// freely between operations.
 //
 // Concurrency: parallel readers may race to decode the same page; both
 // decodes are identical clean copies and the last insert wins, so the race
@@ -166,7 +176,7 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 	s.br, _ = st.(storage.BatchReader)
 	s.pf, _ = st.(storage.Prefetcher)
 	for i := range s.shards {
-		s.shards[i].nodes = make(map[page.ID]interface{})
+		s.shards[i].nodes = make(map[page.ID]cacheEntry)
 	}
 	return s
 }
@@ -178,18 +188,27 @@ func (s *pagedNodes) shard(id page.ID) *nodeShard {
 func (s *pagedNodes) cacheGet(id page.ID) (interface{}, bool) {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	v, ok := sh.nodes[id]
+	e, ok := sh.nodes[id]
+	if ok && !e.ref {
+		e.ref = true
+		sh.nodes[id] = e
+	}
 	sh.mu.Unlock()
-	return v, ok
+	return e.v, ok
 }
 
+// cachePut caches v under id. A new entry starts unreferenced, so a page
+// decoded once and never hit again is the first the sweep evicts; a
+// replaced entry keeps its bit.
 func (s *pagedNodes) cachePut(id page.ID, v interface{}) {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	if _, ok := sh.nodes[id]; !ok {
+	e, ok := sh.nodes[id]
+	if !ok {
 		s.size.Add(1)
 	}
-	sh.nodes[id] = v
+	e.v = v
+	sh.nodes[id] = e
 	sh.mu.Unlock()
 }
 
@@ -203,23 +222,35 @@ func (s *pagedNodes) cacheDel(id page.ID) {
 	sh.mu.Unlock()
 }
 
-// evictIfNeeded trims the decoded cache to half capacity. It is called
-// between tree operations (never mid-operation), so within one mutating
-// operation live node pointers stay unique: a writer never sees two
-// decoded copies of the same page. Readers may refetch an evicted page
-// mid-operation, but a fresh decode of a clean page is indistinguishable
-// from the evicted copy.
+// evictIfNeeded trims an over-capacity decoded cache towards three
+// quarters of capacity with a second-chance sweep: an entry hit since the
+// last sweep has its reference bit cleared and stays, and only entries
+// with a clear bit are evicted. The root and the upper index levels,
+// which every descent touches, therefore stay resident while pages used
+// once cycle through. A sweep that finds too few clear entries leaves the
+// cache over capacity; the next operation's sweep finds their bits clear.
+//
+// It is called between tree operations (never mid-operation), so within
+// one mutating operation live node pointers stay unique: a writer never
+// sees two decoded copies of the same page. Readers may refetch an
+// evicted page mid-operation, but a fresh decode of a clean page is
+// indistinguishable from the evicted copy.
 func (s *pagedNodes) evictIfNeeded() {
 	if int(s.size.Load()) <= s.cap {
 		return
 	}
-	perShard := s.cap/2/cacheShards + 1
+	perShard := s.cap*3/4/cacheShards + 1
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for id := range sh.nodes {
+		for id, e := range sh.nodes {
 			if len(sh.nodes) <= perShard {
 				break
+			}
+			if e.ref {
+				e.ref = false
+				sh.nodes[id] = e
+				continue
 			}
 			delete(sh.nodes, id)
 			s.size.Add(-1)

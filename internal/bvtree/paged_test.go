@@ -3,9 +3,11 @@ package bvtree
 import (
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"bvtree/internal/geometry"
+	"bvtree/internal/page"
 	"bvtree/internal/storage"
 )
 
@@ -145,5 +147,60 @@ func TestPagedCacheEviction(t *testing.T) {
 	}
 	if err := tr.Validate(true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readCountingStore counts ReadNode calls per page.
+type readCountingStore struct {
+	storage.Store
+	mu    sync.Mutex
+	reads map[page.ID]int
+}
+
+func (s *readCountingStore) ReadNode(id page.ID) ([]byte, error) {
+	s.mu.Lock()
+	s.reads[id]++
+	s.mu.Unlock()
+	return s.Store.ReadNode(id)
+}
+
+// TestNodeCacheKeepsHotLevels pins the second-chance eviction of the
+// decoded-node cache: over a paged tree many times larger than the
+// cache, a stream of lookups touches the root on every descent, so every
+// sweep finds its reference bit set and the root is read from the store
+// exactly once — where a sweep blind to use evicts it at random.
+func TestNodeCacheKeepsHotLevels(t *testing.T) {
+	const cacheNodes = 32
+	mem := storage.NewMemStore()
+	tr, err := NewPaged(mem, Options{Dims: 2, DataCapacity: 8, Fanout: 8, CacheNodes: cacheNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	pts := make([]geometry.Point, 3000)
+	for i := range pts {
+		pts[i] = randPoint(rng, 2)
+		if err := tr.Insert(pts[i], uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if nodes := mem.Stats().Allocs; nodes < 4*cacheNodes {
+		t.Fatalf("tree has %d pages, want at least %d", nodes, 4*cacheNodes)
+	}
+	st := &readCountingStore{Store: mem, reads: map[page.ID]int{}}
+	tr, err = OpenPaged(st, cacheNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := tr.Lookup(pts[rng.Intn(len(pts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := st.reads[tr.root]; got != 1 {
+		t.Fatalf("root page %d read from the store %d times, want 1", tr.root, got)
 	}
 }

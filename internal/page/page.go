@@ -189,66 +189,62 @@ func DecodeIndex(b []byte) (*IndexNode, error) {
 	return n, r.err
 }
 
-// DecodeData deserialises a data page.
+// DecodeData deserialises a data page. It is AppendDataItems into an
+// empty page: the page's coordinates share one capacity-capped arena, so
+// a decode costs a fixed number of allocations whatever the item count.
 func DecodeData(b []byte) (*DataPage, int, error) {
-	r, err := newReader(b)
+	p := &DataPage{}
+	var dims int
+	var err error
+	p.Region, dims, p.Items, _, err = decodeData(b, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	if r.kind != KindData {
-		return nil, 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
-	}
-	dims := int(r.u32())
-	if dims < 1 || dims > geometry.MaxDims {
-		return nil, 0, fmt.Errorf("page: implausible dimensionality %d", dims)
-	}
-	p := &DataPage{}
-	p.Region = r.bits()
-	count := int(r.u32())
-	if count < 0 || count > 1<<24 {
-		return nil, 0, fmt.Errorf("page: implausible item count %d", count)
-	}
-	p.Items = make([]Item, count)
-	for i := range p.Items {
-		pt := make(geometry.Point, dims)
-		for d := 0; d < dims; d++ {
-			pt[d] = r.u64()
-		}
-		p.Items[i] = Item{Point: pt, Payload: r.u64()}
-	}
-	return p, dims, r.err
+	return p, dims, nil
 }
 
 // AppendDataItems decodes the items of an encoded data page, appending
 // them to dst with their point coordinates packed into coords, and
-// returns the extended slices. Unlike DecodeData — which allocates one
-// Point per item and is meant for pages that stay resident in a cache —
-// this is the streaming decode of the range engine: one page costs at
-// most two slice growths regardless of item count. Appending to coords
-// may relocate its backing array; points appended by earlier calls keep
-// referencing the old array, so previously returned items stay valid.
+// returns the extended slices. dst and coords each grow at most once per
+// page, whatever its item count; every point is a capacity-capped slice
+// of coords. Appending to coords may relocate its backing array; points
+// appended by earlier calls keep referencing the old array, so
+// previously returned items stay valid.
 func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
+	_, _, dst, coords, err := decodeData(b, dst, coords)
+	return dst, coords, err
+}
+
+// decodeData is the one data-page decoder behind DecodeData and
+// AppendDataItems; it also returns the page region and dimensionality.
+func decodeData(b []byte, dst []Item, coords []uint64) (region.BitString, int, []Item, []uint64, error) {
+	var reg region.BitString
 	r, err := newReader(b)
 	if err != nil {
-		return dst, coords, err
+		return reg, 0, dst, coords, err
 	}
 	if r.kind != KindData {
-		return dst, coords, fmt.Errorf("page: expected data page, found kind %d", r.kind)
+		return reg, 0, dst, coords, fmt.Errorf("page: expected data page, found kind %d", r.kind)
 	}
 	dims := int(r.u32())
 	if dims < 1 || dims > geometry.MaxDims {
-		return dst, coords, fmt.Errorf("page: implausible dimensionality %d", dims)
+		return reg, 0, dst, coords, fmt.Errorf("page: implausible dimensionality %d", dims)
 	}
-	r.bits() // page region, not needed by a scan
+	reg = r.bits()
 	count := int(r.u32())
 	if count < 0 || count > 1<<24 {
-		return dst, coords, fmt.Errorf("page: implausible item count %d", count)
+		return reg, 0, dst, coords, fmt.Errorf("page: implausible item count %d", count)
 	}
 	if !r.need(count * (dims + 1) * 8) {
-		return dst, coords, r.err
+		return reg, 0, dst, coords, r.err
 	}
-	// Grow coords once for the whole page so the per-item point headers
-	// sliced below cannot be invalidated by a mid-page relocation.
+	// Grow both slices once for the whole page, so the per-item point
+	// headers sliced below cannot be invalidated by a mid-page relocation.
+	if cap(dst)-len(dst) < count {
+		grown := make([]Item, len(dst), len(dst)+count)
+		copy(grown, dst)
+		dst = grown
+	}
 	base := len(coords)
 	if cap(coords)-base < count*dims {
 		grown := make([]uint64, base, base+count*dims)
@@ -263,7 +259,7 @@ func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, e
 		}
 		dst = append(dst, Item{Point: pt, Payload: r.u64()})
 	}
-	return dst, coords, r.err
+	return reg, dims, dst, coords, r.err
 }
 
 // DecodeDataCount returns the item count of an encoded data page without

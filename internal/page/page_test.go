@@ -81,6 +81,30 @@ func TestDataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeDataAllocsConstant pins the arena decode: decoding a data
+// page costs the same number of allocations whatever its item count, up
+// to a full 32-item page, because all coordinates share one arena.
+func TestDecodeDataAllocsConstant(t *testing.T) {
+	allocs := func(items int) float64 {
+		p := &DataPage{Region: region.MustParseBits("0110")}
+		for i := 0; i < items; i++ {
+			p.Items = append(p.Items, Item{Point: geometry.Point{uint64(i), uint64(i) << 40}, Payload: uint64(i)})
+		}
+		blob := EncodeData(p, 2)
+		return testing.AllocsPerRun(100, func() {
+			if _, _, err := DecodeData(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(1)
+	for _, items := range []int{8, 32} {
+		if got := allocs(items); got != one {
+			t.Fatalf("decoding %d items costs %.0f allocations, 1 item %.0f: want equal", items, got, one)
+		}
+	}
+}
+
 func TestChecksumDetectsCorruption(t *testing.T) {
 	n := &IndexNode{Level: 1, Region: region.MustParseBits("01")}
 	n.Entries = append(n.Entries, Entry{Key: region.MustParseBits("010"), Level: 0, Child: 7})

@@ -25,13 +25,15 @@ type ServerConfig struct {
 	// backpressure").
 	MaxInflight int
 	// MaxFrame caps a frame's payload length in bytes (default
-	// shard.MaxFrame, 16 MiB). A frame announcing more than this closes
-	// the connection.
+	// shard.MaxFrame, 16 MiB). A request frame announcing more than this
+	// closes the connection; reply frames never exceed it (see
+	// RangeLimitMax and OpNearest's k).
 	MaxFrame int
 	// RangeLimitMax caps the per-request item limit of OpRange responses
 	// (default 1<<20). Requests asking for more (or for no limit) are
-	// truncated here, which bounds response frames independently of
-	// MaxFrame.
+	// truncated here. It is itself clamped to the most items a reply of
+	// the plan's Dims can carry within MaxFrame (699,050 in 2-D at the
+	// default MaxFrame).
 	RangeLimitMax int
 }
 
@@ -97,6 +99,10 @@ type Server struct {
 	cfg ServerConfig
 	m   serverMetrics
 
+	// nearestMax is the largest k whose OpNearest reply fits MaxFrame;
+	// larger requests are clamped to it.
+	nearestMax int
+
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
@@ -108,7 +114,15 @@ type Server struct {
 // NewServer returns an unstarted server over r.
 func NewServer(r *Router, cfg ServerConfig) *Server {
 	cfg.fill()
-	return &Server{r: r, cfg: cfg, conns: make(map[net.Conn]struct{})}
+	// Hold every reply within MaxFrame: past the header, a Range reply
+	// is count(4) truncated(1) and 8·(dims+1) bytes per item, a Nearest
+	// reply count(4) and 8·(dims+2) bytes per neighbour.
+	room, dims := cfg.MaxFrame-headerSize, r.plan.Dims
+	if m := (room - 5) / (8 * (dims + 1)); cfg.RangeLimitMax > m {
+		cfg.RangeLimitMax = m
+	}
+	return &Server{r: r, cfg: cfg, conns: make(map[net.Conn]struct{}),
+		nearestMax: (room - 4) / (8 * (dims + 2))}
 }
 
 // Router returns the router the server serves.
@@ -433,6 +447,9 @@ func (s *Server) executeOp(op byte, body []byte) (byte, []byte) {
 		k := int(binary.BigEndian.Uint32(rest))
 		if k < 1 {
 			return StatusBadRequest, []byte("nearest: k must be at least 1")
+		}
+		if k > s.nearestMax {
+			k = s.nearestMax
 		}
 		ns, err := s.r.Nearest(p, k)
 		if err != nil {

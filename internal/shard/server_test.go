@@ -3,7 +3,9 @@ package shard
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"sort"
 	"testing"
@@ -416,4 +418,64 @@ func TestShardServerConcurrentClients(t *testing.T) {
 			t.Fatalf("payload %d missing from scan (found %d)", i, v)
 		}
 	}
+}
+
+// TestShardServerReplyCaps sends a Range limit and a Nearest k far above
+// what one reply can carry: the server must clamp both to the most items
+// that fit its MaxFrame, so readFrame at that limit accepts the reply.
+func TestShardServerReplyCaps(t *testing.T) {
+	const dims, maxFrame, n = 2, 4096, 600
+	s, addr := startServer(t, dims, 2, ServerConfig{MaxFrame: maxFrame})
+	pts, err := workload.Generate(workload.Uniform, dims, n, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		if err := s.Router().Insert(p, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc := dialRaw(t, addr)
+	// call sends one request and returns the OK reply's item count and
+	// the bytes after the count.
+	call := func(op byte, body []byte) (int, []byte) {
+		t.Helper()
+		rc.send(req(op, 1, body...))
+		payload, err := readFrame(rc.conn, maxFrame)
+		if err != nil {
+			t.Fatalf("%s reply rejected: %v", opName(op), err)
+		}
+		if payload[1] != StatusOK {
+			t.Fatalf("%s: status %#02x: %s", opName(op), payload[1], payload[headerSize:])
+		}
+		body = payload[headerSize:]
+		return int(binary.BigEndian.Uint32(body)), body[4:]
+	}
+	// tight checks that count items of size bytes plus fixed bytes of
+	// framing fill a frame of limit bytes as far as whole items go.
+	tight := func(what string, count, size, fixed, limit int) {
+		t.Helper()
+		if count == 0 || headerSize+fixed+count*size > limit || headerSize+fixed+(count+1)*size <= limit {
+			t.Fatalf("%s: %d items of %d bytes is not the most a %d-byte frame holds", what, count, size, limit)
+		}
+	}
+
+	universe := appendPoint(appendPoint(nil, geometry.Point{0, 0}), geometry.Point{math.MaxUint64, math.MaxUint64})
+	for _, limit := range []uint32{0, math.MaxUint32} {
+		count, rest := call(OpRange, binary.BigEndian.AppendUint32(append([]byte(nil), universe...), limit))
+		if rest[0] != 1 || len(rest) != 1+count*8*(dims+1) {
+			t.Fatalf("range limit %d: truncated=%d, %d item bytes for %d items", limit, rest[0], len(rest)-1, count)
+		}
+		tight(fmt.Sprintf("range limit %d", limit), count, 8*(dims+1), 5, maxFrame)
+	}
+	count, rest := call(OpNearest, binary.BigEndian.AppendUint32(appendPoint(nil, pts[0]), math.MaxUint32))
+	if len(rest) != count*8*(dims+2) {
+		t.Fatalf("nearest: %d neighbour bytes for %d neighbours", len(rest), count)
+	}
+	tight("nearest", count, 8*(dims+2), 4, maxFrame)
+
+	// The default RangeLimitMax (1<<20 items, 24 MiB in 2-D) is clamped
+	// to the default 16 MiB frame.
+	def := NewServer(s.Router(), ServerConfig{})
+	tight("default RangeLimitMax", def.cfg.RangeLimitMax, 8*(dims+1), 5, MaxFrame)
 }

@@ -2,9 +2,9 @@ package storage
 
 // Concurrency tests for the stores: many readers assembling slot chains
 // in parallel, against both the in-memory store and a FileStore whose
-// pool is far smaller than the working set, so every read contends on the
-// shard latches and triggers evictions. The TestConcurrent* prefix is
-// what `make verify` runs under the race detector.
+// pool is far smaller than the working set, so most slots are read from
+// the file while the readers share the shard latches. The TestConcurrent*
+// prefix is what `make verify` runs under the race detector.
 
 import (
 	"bytes"
@@ -32,8 +32,8 @@ func TestConcurrentStoreReads(t *testing.T) {
 	}{
 		{"mem", func(t *testing.T) Store { return NewMemStore() }},
 		{"file", func(t *testing.T) Store {
-			// 8 pool slots for a working set of hundreds of slots: every
-			// chain walk evicts frames that other readers are using.
+			// 8 pool slots for a working set of hundreds of slots: most
+			// chain walks mix resident frames and slots read from the file.
 			fs, err := CreateFileStore(filepath.Join(t.TempDir(), "c.bv"), FileStoreOptions{
 				SlotSize:  128,
 				PoolSlots: 8,
@@ -103,8 +103,9 @@ func TestConcurrentStoreReads(t *testing.T) {
 }
 
 // TestConcurrentReadsWithEvictionWriteback interleaves parallel readers
-// with a dirty pool: WriteNode leaves dirty frames, and the readers'
-// evictions must write them back (not drop them) before reuse.
+// with a dirty pool: WriteNode leaves dirty frames, later writes' evictions
+// must write them back (not drop them), and readers must see either the
+// resident dirty frame or its written-back image.
 func TestConcurrentReadsWithEvictionWriteback(t *testing.T) {
 	fs, err := CreateFileStore(filepath.Join(t.TempDir(), "wb.bv"), FileStoreOptions{
 		SlotSize:  128,
@@ -125,8 +126,8 @@ func TestConcurrentReadsWithEvictionWriteback(t *testing.T) {
 		ids[i] = id
 	}
 	for round := 0; round < 4; round++ {
-		// Rewrite every node (dirty frames pile up), then storm it with
-		// parallel readers whose admissions force write-back evictions.
+		// Rewrite every node (each admission evicts and writes back a
+		// dirty frame), then storm it with parallel readers.
 		for i := range ids {
 			want[i] = fillPattern(round*nodes+i, 30+((round*nodes+i)*13)%400)
 			if err := fs.WriteNode(ids[i], want[i]); err != nil {

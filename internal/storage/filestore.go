@@ -18,20 +18,27 @@ import (
 // slots; a node occupies a chain of one or more slots, so nodes may be
 // arbitrarily large (the BV-tree's level-scaled index pages of §7.3 simply
 // chain more slots). Slot 0 holds the store header. Freed slots are linked
-// into an intrusive free list. A sharded LRU buffer pool caches slot
-// frames and writes dirty frames back on eviction and on Sync.
+// into an intrusive free list. A sharded LRU buffer pool holds the slot
+// frames of the write path (allocated and dirty frames) and of Prefetch
+// hints, and writes dirty frames back on eviction and on Sync. It is not
+// a read cache: a demand read serves a resident frame but reads any other
+// slot straight from the file into a scratch buffer without admitting it
+// (the decoded-node cache above the store is the read cache).
 //
 // Concurrency: mutations (Alloc, WriteNode, Free, Sync, Close) hold the
 // store lock exclusively; ReadNode and Stats hold it shared, so parallel
 // readers proceed together. The buffer pool is striped into poolShards
-// independent shards (latch per stripe), because even read-only traffic
-// mutates pool state — a miss admits a frame, a hit reorders the LRU — and
-// a single pool latch would serialise the very readers the shared lock
-// admits. Frame *contents* are only written under the exclusive lock (or
-// by the one reader that loads a missing frame, before it becomes visible
-// in the shard map), so readers may copy a frame's bytes without holding
-// its shard latch. Lock order: store lock → shard latch → state latch;
-// no path holds two shard latches at once.
+// independent shards (latch per stripe), because read-side traffic still
+// touches pool state — a hit reorders the LRU, a Prefetch admits frames —
+// and a single pool latch would serialise the very readers the shared
+// lock admits. Frame *contents* are only written under the exclusive lock
+// (or by the prefetcher that loads a missing frame, before it becomes
+// visible in the shard map), so readers may copy a frame's bytes without
+// holding its shard latch. Under the shared lock a non-resident slot's
+// disk image is current: a dirty frame is either pinned in the pool
+// (PinDirty) or written back before it leaves it. Lock order: store
+// lock → shard latch → state latch; no path holds two shard latches at
+// once.
 //
 // Crash safety: Sync is atomic. Before overwriting any slot it records the
 // old images in a rollback journal (path + ".journal"), fsyncs the
@@ -64,7 +71,15 @@ type FileStore struct {
 	// hints are dropped (see Prefetch).
 	prefetchInflight atomic.Int32
 
-	stateMu  sync.Mutex // guards poisoned; a read-path eviction can poison
+	// scratch recycles the slot-sized buffers demand reads of
+	// non-resident slots are read into (*[]byte).
+	scratch sync.Pool
+
+	// victimScans counts the LRU victims admission has inspected; a
+	// test seam pinning that admission never walks past pinned frames.
+	victimScans atomic.Uint64
+
+	stateMu  sync.Mutex // guards poisoned; a Prefetch eviction can poison
 	poisoned error
 }
 
@@ -73,7 +88,9 @@ type FileStore struct {
 const poolShards = 16
 
 // poolShard is one stripe of the buffer pool: a latch, the resident
-// frames, and their LRU order.
+// frames, and the LRU order of the evictable ones. Under PinDirty a dirty
+// frame is resident but off the LRU list until Sync cleans it, so the
+// list tail is always a frame admission may evict.
 type poolShard struct {
 	mu     sync.Mutex
 	frames map[uint64]*frame
@@ -129,9 +146,11 @@ type FileStoreOptions struct {
 	// SlotSize is the physical slot size in bytes (default 4096).
 	SlotSize int
 	// PoolSlots is the buffer pool capacity in slots (default 1024). The
-	// pool is striped into poolShards shards of PoolSlots/poolShards
-	// frames each (minimum one frame per shard, so very small capacities
-	// are rounded up to poolShards).
+	// pool holds the frames of allocations, writes and Prefetch hints —
+	// demand reads serve resident frames but never admit one, so this is
+	// a write-back buffer, not a read cache. It is striped into poolShards
+	// shards of PoolSlots/poolShards frames each (minimum one frame per
+	// shard, so very small capacities are rounded up to poolShards).
 	PoolSlots int
 	// PinDirty keeps dirty frames in memory until Sync instead of writing
 	// them back on eviction. With PinDirty the on-disk image only changes
@@ -348,18 +367,15 @@ func (s *FileStore) checkNext(slot, next uint64) error {
 
 // frameFor returns the pooled frame for slot, loading it from disk on a
 // miss when load is set. It takes the slot's shard latch for the whole
-// lookup/load/admit sequence, so concurrent misses on the same slot
-// serialise and exactly one frame per slot is ever resident. The caller
-// may read the returned frame's buffer without the latch; mutating it
-// requires the exclusive store lock.
+// lookup/load/admit sequence, so exactly one frame per slot is ever
+// resident. It is the write path's access (exclusive store lock held);
+// the caller marks the frame dirty with markDirty before mutating it.
 func (s *FileStore) frameFor(slot uint64, load bool) (*frame, error) {
 	sh := &s.shards[slot%poolShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if fr, ok := sh.frames[slot]; ok {
-		atomic.AddUint64(&s.stats.CacheHits, 1)
-		sh.lru.remove(fr)
-		sh.lru.pushFront(fr)
+		s.touchLocked(sh, fr)
 		return fr, nil
 	}
 	atomic.AddUint64(&s.stats.CacheMisses, 1)
@@ -376,28 +392,72 @@ func (s *FileStore) frameFor(slot uint64, load bool) (*frame, error) {
 	return fr, nil
 }
 
-// admitLocked inserts fr into its shard (latch held), evicting from the
-// shard's LRU tail while the shard is over capacity. Dirty victims are
-// skipped when PinDirty pins them, written back otherwise.
+// residentFrame returns slot's pooled frame, or nil when the slot is not
+// resident. It never admits: the read path's access.
+func (s *FileStore) residentFrame(slot uint64) *frame {
+	sh := &s.shards[slot%poolShards]
+	sh.mu.Lock()
+	fr := sh.frames[slot]
+	if fr != nil {
+		s.touchLocked(sh, fr)
+	}
+	sh.mu.Unlock()
+	return fr
+}
+
+// touchLocked counts a pool hit on fr and moves it to the front of its
+// shard's LRU list, unless PinDirty holds it off the list (latch held).
+func (s *FileStore) touchLocked(sh *poolShard, fr *frame) {
+	atomic.AddUint64(&s.stats.CacheHits, 1)
+	if !(fr.dirty && s.pinDirty) {
+		sh.lru.remove(fr)
+		sh.lru.pushFront(fr)
+	}
+}
+
+// markDirty marks fr dirty before the caller mutates it (exclusive store
+// lock held). Under PinDirty the frame leaves its shard's LRU list, so
+// admission never inspects it until Sync puts it back.
+func (s *FileStore) markDirty(fr *frame) {
+	if fr.dirty {
+		return
+	}
+	sh := &s.shards[fr.slot%poolShards]
+	sh.mu.Lock()
+	if s.pinDirty && sh.frames[fr.slot] == fr {
+		sh.lru.remove(fr)
+	}
+	fr.dirty = true
+	sh.mu.Unlock()
+}
+
+// admitLocked inserts fr into its shard (latch held), first evicting
+// from the shard's LRU tail to make room.
 func (s *FileStore) admitLocked(sh *poolShard, fr *frame) error {
-	victim := sh.lru.tail
-	for len(sh.frames) >= s.shardCap && victim != nil {
-		prev := victim.prev
-		if victim.dirty && s.pinDirty {
-			// Dirty frames only reach the disk at Sync; skip them.
-			victim = prev
-			continue
-		}
+	if err := s.evictLocked(sh, s.shardCap-1); err != nil {
+		return err
+	}
+	sh.frames[fr.slot] = fr
+	sh.lru.pushFront(fr)
+	return nil
+}
+
+// evictLocked evicts from sh's LRU tail, writing dirty victims back,
+// until at most keep frames are resident or the list is empty (latch
+// held). Pinned dirty frames are not on the list, so every victim it
+// inspects is evicted: the cost is the number of evictions, whatever
+// the number of dirty frames since the last Sync.
+func (s *FileStore) evictLocked(sh *poolShard, keep int) error {
+	for len(sh.frames) > keep && sh.lru.tail != nil {
+		victim := sh.lru.tail
+		s.victimScans.Add(1)
 		if err := s.flushFrame(victim); err != nil {
 			return err
 		}
 		sh.lru.remove(victim)
 		delete(sh.frames, victim.slot)
 		atomic.AddUint64(&s.stats.Evictions, 1)
-		victim = prev
 	}
-	sh.frames[fr.slot] = fr
-	sh.lru.pushFront(fr)
 	return nil
 }
 
@@ -442,11 +502,11 @@ func (s *FileStore) freeSlot(slot uint64) error {
 	if err != nil {
 		return err
 	}
+	s.markDirty(fr)
 	for i := range fr.buf {
 		fr.buf[i] = 0
 	}
 	binary.LittleEndian.PutUint64(fr.buf, s.freeHead)
-	fr.dirty = true
 	s.freeHead = slot
 	atomic.AddInt64(&s.stats.FreeSlots, 1)
 	return nil
@@ -469,10 +529,10 @@ func (s *FileStore) Alloc() (page.ID, error) {
 	if err != nil {
 		return 0, s.poison(err)
 	}
+	s.markDirty(fr)
 	for i := range fr.buf {
 		fr.buf[i] = 0
 	}
-	fr.dirty = true
 	atomic.AddUint64(&s.stats.Allocs, 1)
 	return page.ID(slot), nil
 }
@@ -486,23 +546,25 @@ func (s *FileStore) ReadNode(id page.ID) ([]byte, error) {
 	if err := s.usable(); err != nil {
 		return nil, err
 	}
-	return s.readNodeLocked(id)
-}
-
-// readNodeLocked is ReadNode's body (shared store lock held, usable
-// already checked).
-func (s *FileStore) readNodeLocked(id page.ID) ([]byte, error) {
 	return s.readNodeVia(id, nil)
 }
 
 // readNodeVia assembles a node's slot chain, taking each slot's image
-// from peek when it has one and from the buffer pool (loading on miss)
-// otherwise. peek is how ReadNodes serves batch-read slots out of its
-// coalesced run buffers without admitting them to the pool; nil means
-// every slot goes through the pool.
+// from peek when it has one, from its pooled frame when the slot is
+// resident (a dirty frame must win over the stale disk image), and
+// straight from the file otherwise. peek is how ReadNodes serves
+// batch-read slots out of its coalesced run buffers; nil means none.
+// No slot is admitted to the pool: the decoded-node cache above is the
+// read cache, and a pooled copy would only duplicate it.
 func (s *FileStore) readNodeVia(id page.ID, peek func(uint64) []byte) ([]byte, error) {
 	atomic.AddUint64(&s.stats.NodeReads, 1)
 	var out []byte
+	var scratch *[]byte
+	defer func() {
+		if scratch != nil {
+			s.scratch.Put(scratch)
+		}
+	}()
 	var hops uint64
 	slot := uint64(id)
 	for slot != 0 {
@@ -514,11 +576,19 @@ func (s *FileStore) readNodeVia(id page.ID, peek func(uint64) []byte) ([]byte, e
 			buf = peek(slot)
 		}
 		if buf == nil {
-			fr, err := s.frameFor(slot, true)
-			if err != nil {
-				return nil, err
+			if fr := s.residentFrame(slot); fr != nil {
+				buf = fr.buf
+			} else {
+				if scratch == nil {
+					scratch = s.scratchBuf()
+				}
+				buf = *scratch
+				if _, err := s.f.ReadAt(buf, int64(slot)*int64(s.slotSize)); err != nil {
+					return nil, fmt.Errorf("storage: read slot %d: %w", slot, err)
+				}
+				atomic.AddUint64(&s.stats.CacheMisses, 1)
+				atomic.AddUint64(&s.stats.SlotReads, 1)
 			}
-			buf = fr.buf
 		}
 		next := binary.LittleEndian.Uint64(buf)
 		if err := s.checkNext(slot, next); err != nil {
@@ -532,6 +602,15 @@ func (s *FileStore) readNodeVia(id page.ID, peek func(uint64) []byte) ([]byte, e
 		slot = next
 	}
 	return out, nil
+}
+
+// scratchBuf returns a slot-sized buffer from the store's recycler.
+func (s *FileStore) scratchBuf() *[]byte {
+	if b, ok := s.scratch.Get().(*[]byte); ok {
+		return b
+	}
+	b := make([]byte, s.slotSize)
+	return &b
 }
 
 // maxReadRun caps the slots covered by one coalesced ReadAt (256 KiB at
@@ -563,13 +642,13 @@ func (s *FileStore) admitSlotBuf(slot uint64, buf []byte) error {
 	return s.admitLocked(sh, fr)
 }
 
-// warmSlots loads the non-resident slots of the (sorted, deduplicated)
-// list into the buffer pool, coalescing runs of consecutive slots into
-// single ReadAt calls — this is where a batched fetch of N sibling pages
-// becomes one or two physical reads instead of N. Returns the number of
-// slots actually loaded. Shared store lock held.
-func (s *FileStore) warmSlots(slots []uint64) (int, error) {
-	loaded := 0
+// readRuns reads the non-resident, in-range slots of the (sorted,
+// deduplicated) list, coalescing runs of consecutive slots into single
+// ReadAt calls — this is where a batched fetch of N sibling pages becomes
+// one or two physical reads instead of N — and hands each slot's image
+// to use. Resident slots are skipped: their pooled frame, possibly
+// dirty, serves them. Shared store lock held.
+func (s *FileStore) readRuns(slots []uint64, use func(slot uint64, img []byte) error) error {
 	for i := 0; i < len(slots); {
 		// Grow a run of consecutive, non-resident, in-range slots.
 		j := i
@@ -585,26 +664,38 @@ func (s *FileStore) warmSlots(slots []uint64) (int, error) {
 		n := j - i
 		buf := make([]byte, n*s.slotSize)
 		if _, err := s.f.ReadAt(buf, int64(slots[i])*int64(s.slotSize)); err != nil {
-			return loaded, fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
+			return fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
 		}
 		atomic.AddUint64(&s.stats.SlotReads, 1)
 		for k := 0; k < n; k++ {
-			if err := s.admitSlotBuf(slots[i+k], buf[k*s.slotSize:(k+1)*s.slotSize]); err != nil {
-				return loaded, err
+			if err := use(slots[i+k], buf[k*s.slotSize:(k+1)*s.slotSize]); err != nil {
+				return err
 			}
-			loaded++
 		}
 		i = j
 	}
-	return loaded, nil
+	return nil
+}
+
+// warmSlots loads the non-resident slots of the (sorted, deduplicated)
+// list into the buffer pool and returns the number of slots it loaded.
+// Shared store lock held.
+func (s *FileStore) warmSlots(slots []uint64) (int, error) {
+	loaded := 0
+	err := s.readRuns(slots, func(slot uint64, img []byte) error {
+		if err := s.admitSlotBuf(slot, img); err != nil {
+			return err
+		}
+		loaded++
+		return nil
+	})
+	return loaded, err
 }
 
 // scanRun holds the slot images one batched read fetched through
-// coalesced ReadAt calls, bypassing buffer-pool admission. A scan
-// touches each of its slots exactly once, so admitting them would evict
-// the point-query working set page by page and give nothing back; the
-// run buffers are dropped when the batch read returns. slots is sorted
-// and parallel to bufs.
+// readRuns. Like every demand read they are never admitted to the pool;
+// the run buffers are dropped when the batch read returns. slots is
+// sorted and parallel to bufs.
 type scanRun struct {
 	slots []uint64
 	bufs  [][]byte
@@ -621,40 +712,8 @@ func (r *scanRun) lookup(slot uint64) []byte {
 	return nil
 }
 
-// readScanRuns reads the non-resident slots of the (sorted, deduplicated)
-// list into run buffers, coalescing consecutive slots into single ReadAt
-// calls — this is where a batched fetch of N sibling pages becomes one or
-// two physical reads instead of N. Shared store lock held.
-func (s *FileStore) readScanRuns(slots []uint64, sr *scanRun) error {
-	for i := 0; i < len(slots); {
-		// Grow a run of consecutive, non-resident, in-range slots.
-		j := i
-		for j < len(slots) && j-i < maxReadRun &&
-			slots[j] == slots[i]+uint64(j-i) &&
-			slots[j] < s.nextSlot && !s.resident(slots[j]) {
-			j++
-		}
-		if j == i {
-			i++ // resident or out of range; the pool path serves it
-			continue
-		}
-		n := j - i
-		buf := make([]byte, n*s.slotSize)
-		if _, err := s.f.ReadAt(buf, int64(slots[i])*int64(s.slotSize)); err != nil {
-			return fmt.Errorf("storage: read slots %d..%d: %w", slots[i], slots[j-1], err)
-		}
-		atomic.AddUint64(&s.stats.SlotReads, 1)
-		for k := 0; k < n; k++ {
-			sr.slots = append(sr.slots, slots[i+k])
-			sr.bufs = append(sr.bufs, buf[k*s.slotSize:(k+1)*s.slotSize])
-		}
-		i = j
-	}
-	return nil
-}
-
 // sortedHeadSlots returns the head slots of ids, sorted and deduplicated,
-// for warmSlots and readScanRuns.
+// for readRuns.
 func sortedHeadSlots(ids []page.ID) []uint64 {
 	slots := make([]uint64, 0, len(ids))
 	for _, id := range ids {
@@ -672,12 +731,10 @@ func sortedHeadSlots(ids []page.ID) []uint64 {
 
 // ReadNodes implements BatchReader: one shared-lock acquisition for the
 // whole batch, with the head slots of all requested nodes read first
-// through readScanRuns so that physically adjacent siblings — the common
+// through readRuns so that physically adjacent siblings — the common
 // layout after a z-ordered load — arrive in coalesced multi-slot reads.
-// The run images are served directly and never admitted to the buffer
-// pool (scan resistance: a batch-read slot is touched once, and pooling
-// it would only evict the point-query working set); already-resident
-// slots and chain tails beyond the head go through the pool as usual.
+// The run images are served directly; already-resident slots and chain
+// tails beyond the head take the demand path of readNodeVia.
 func (s *FileStore) ReadNodes(ids []page.ID) ([][]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -687,7 +744,12 @@ func (s *FileStore) ReadNodes(ids []page.ID) ([][]byte, error) {
 	atomic.AddUint64(&s.stats.BatchReads, 1)
 	var sr scanRun
 	if len(ids) > 1 {
-		if err := s.readScanRuns(sortedHeadSlots(ids), &sr); err != nil {
+		err := s.readRuns(sortedHeadSlots(ids), func(slot uint64, img []byte) error {
+			sr.slots = append(sr.slots, slot)
+			sr.bufs = append(sr.bufs, img)
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -771,10 +833,10 @@ func (s *FileStore) WriteNode(id page.ID, blob []byte) error {
 		}
 		if off+n >= len(blob) {
 			// Final slot of the new chain.
+			s.markDirty(fr)
 			copy(fr.buf[slotHeaderSize:], blob[off:off+n])
 			binary.LittleEndian.PutUint32(fr.buf[8:], uint32(n))
 			binary.LittleEndian.PutUint64(fr.buf, 0)
-			fr.dirty = true
 			// Free any trailing slots of a previously longer chain. fr is
 			// dirty before these pool operations, so an eviction they
 			// trigger writes it back rather than dropping the update.
@@ -804,10 +866,10 @@ func (s *FileStore) WriteNode(id page.ID, blob []byte) error {
 			if err2 != nil {
 				return s.poison(err2)
 			}
+			s.markDirty(nf)
 			for i := range nf.buf {
 				nf.buf[i] = 0
 			}
-			nf.dirty = true
 			// Growing the chain touched other pool frames, which may have
 			// evicted the still-clean fr; re-pin it so the mutation below
 			// lands on the resident frame, not an orphaned copy.
@@ -816,10 +878,10 @@ func (s *FileStore) WriteNode(id page.ID, blob []byte) error {
 				return s.poison(err)
 			}
 		}
+		s.markDirty(fr)
 		copy(fr.buf[slotHeaderSize:], blob[off:off+n])
 		binary.LittleEndian.PutUint32(fr.buf[8:], uint32(n))
 		binary.LittleEndian.PutUint64(fr.buf, next)
-		fr.dirty = true
 		off += n
 		slot = next
 		first = false
@@ -918,6 +980,13 @@ func (s *FileStore) syncLocked() error {
 		if err := s.flushFrame(fr); err != nil {
 			return err // flushFrame poisons
 		}
+		if s.pinDirty {
+			// Clean again: back on the LRU list, evictable.
+			sh := &s.shards[fr.slot%poolShards]
+			sh.mu.Lock()
+			sh.lru.pushFront(fr)
+			sh.mu.Unlock()
+		}
 	}
 	if err := s.f.Sync(); err != nil {
 		return s.poison(fmt.Errorf("storage: fsync %s: %w", s.path, err))
@@ -930,6 +999,19 @@ func (s *FileStore) syncLocked() error {
 	}
 	if err := s.invalidateJournal(); err != nil {
 		return s.poison(err)
+	}
+	if s.pinDirty {
+		// The frames pinned since the last Sync are clean now; trim the
+		// pool back to capacity rather than at the next admissions.
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			err := s.evictLocked(sh, s.shardCap)
+			sh.mu.Unlock()
+			if err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package storage provides the page stores underneath the index
 // structures: a trivial in-memory store for algorithmic experiments and a
-// file-backed store with fixed-size slots, a free list, an LRU buffer pool
-// and slot chaining for nodes larger than one slot (the BV-tree's
+// file-backed store with fixed-size slots, a free list, an LRU write-back
+// buffer pool and slot chaining for nodes larger than one slot (the BV-tree's
 // multiple-page-size mode of §7.3 relies on this).
 package storage
 
@@ -59,12 +59,16 @@ type Prefetcher interface {
 // Stats counts store activity. SlotReads/SlotWrites are physical I/O
 // operations; NodeReads/NodeWrites are logical accesses.
 type Stats struct {
-	Allocs      uint64
-	Frees       uint64
-	NodeReads   uint64
-	NodeWrites  uint64
-	SlotReads   uint64
-	SlotWrites  uint64
+	Allocs     uint64
+	Frees      uint64
+	NodeReads  uint64
+	NodeWrites uint64
+	SlotReads  uint64
+	SlotWrites uint64
+	// CacheHits counts slot accesses that found their frame resident in
+	// the buffer pool, CacheMisses those that did not. A demand read of a
+	// missing slot goes to the file and is never admitted, so their ratio
+	// is not a read-cache signal. Always 0 for MemStore.
 	CacheHits   uint64
 	CacheMisses uint64
 	// Evictions counts buffer-pool frames dropped to admit another (a
