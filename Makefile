@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-frame bench bench-write bench-range bench-snapshot bench-ingest bench-node bench-server backup obs docslint server
+.PHONY: verify race torture fuzz fuzz-restore fuzz-bulkload fuzz-frame bench bench-write bench-snapshot bench-ingest bench-node bench-server backup obs docslint server
 
 # The standard verification gate: static checks, build, full test suite
 # (including the runnable godoc examples), the storage-engine, page and
@@ -12,8 +12,8 @@ GO ?= go
 # covers the reader/writer stress tests, the group-commit/batch write
 # path (TestGroupCommit* in internal/wal, TestConcurrentBatch* in
 # internal/bvtree), the instrumentation path (TestConcurrentMetrics),
-# the histogram core (TestConcurrentHistogram in internal/obs) and the
-# parallel range-query engine (TestParallelRange* in internal/bvtree),
+# the histogram core (TestConcurrentHistogram in internal/obs), the
+# range and count traversal (TestRange* in internal/bvtree),
 # the MVCC snapshot/backup differential tests (TestSnapshot* in
 # internal/bvtree) and the columnar node-layout smoke
 # (TestColumnar* in internal/bvtree: concurrent batched reads against a
@@ -29,7 +29,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/bvtree ./internal/wal ./internal/storage ./internal/page ./internal/shard
 	$(GO) run ./cmd/docslint
-	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestParallelRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
+	$(GO) test -race -run 'TestConcurrent|TestGroupCommit|TestRange|TestSnapshot|TestColumnar|TestShard' ./internal/bvtree ./internal/storage ./internal/wal ./internal/obs ./internal/shard
 
 # Full suite under the race detector, including the reader/writer stress
 # tests (TestConcurrent*) added with the parallel read path.
@@ -60,13 +60,6 @@ bench:
 # store); regenerates BENCH_writepath.json.
 bench-write:
 	$(GO) run ./cmd/bvbench -writepath
-
-# Range-query engine: serial walk vs the parallel engine at several
-# worker counts across query selectivities, on a file-backed 500k-point
-# tree; regenerates BENCH_rangequery.json. Rows where workers exceed
-# GOMAXPROCS are flagged [saturated]. See DESIGN.md §11.
-bench-range:
-	$(GO) run ./cmd/bvbench -rangequery
 
 # Online backup and point-in-time restore, exercised end to end: the
 # snapshot differential tests, the backup/restore round-trip and

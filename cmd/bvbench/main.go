@@ -8,7 +8,6 @@
 //	bvbench -concurrency [-readers 1,2,4,8] [-duration 2s] [-json BENCH_concurrency.json]
 //	bvbench -writepath [-writers 8] [-writer-ops 2000] [-json BENCH_writepath.json]
 //	bvbench -snapshot [-writers 4] [-writer-ops 4000] [-json BENCH_snapshot.json]
-//	bvbench -rangequery [-range-workers 1,2,4,8] [-json BENCH_rangequery.json]
 //	bvbench -ingest [-ingest-n 20000] [-json BENCH_ingest.json]
 //	bvbench -server [-conns 1,2,4,8] [-conn-ops 2000] [-json BENCH_server.json]
 //	bvbench -obs [-json BENCH_obs.json]
@@ -26,10 +25,7 @@
 // against a file-backed store. The -snapshot mode prices online backups:
 // bursty durable ingest runs alone, under continuous SnapshotBackup
 // streams, and under alternating checkpoints and backups, reporting
-// writer-stall percentiles per phase to BENCH_snapshot.json. The -rangequery mode compares the serial
-// range walk against the parallel range engine across a selectivity
-// sweep on a file-backed 500k-point tree and writes
-// BENCH_rangequery.json. The -ingest mode compares single-writer durable
+// writer-stall percentiles per phase to BENCH_snapshot.json. The -ingest mode compares single-writer durable
 // ingestion disciplines — per-op inserts, z-sorted batches and the
 // parallel BulkLoad — and writes
 // BENCH_ingest.json. The -server mode stands up an in-process sharded
@@ -68,10 +64,8 @@ func main() {
 		snapBench = flag.Bool("snapshot", false, "run the online-backup writer-stall benchmark")
 		writers   = flag.Int("writers", 8, "concurrent writer goroutines for -writepath / -snapshot")
 		writerOps = flag.Int("writer-ops", 2000, "inserts per writer for -writepath / -snapshot")
-		rangeQ    = flag.Bool("rangequery", false, "run the parallel range-query benchmark")
 		ingest    = flag.Bool("ingest", false, "run the write-optimized ingestion benchmark")
 		ingestN   = flag.Int("ingest-n", 20000, "points to load per mode for -ingest")
-		rangeWk   = flag.String("range-workers", "1,2,4,8", "comma-separated worker counts for -rangequery (1 = serial walk)")
 		srvBench  = flag.Bool("server", false, "run the sharded-server wire benchmark")
 		srvConns  = flag.String("conns", "1,2,4,8", "comma-separated client connection counts for -server")
 		srvOps    = flag.Int("conn-ops", 2000, "ops per connection for -server")
@@ -133,21 +127,6 @@ func main() {
 			os.Exit(1)
 		}
 		writeJSON(rep, *jsonPath, "BENCH_ingest.json")
-		return
-	}
-
-	if *rangeQ {
-		counts, err := parseReaders(*rangeWk)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvbench: %v\n", err)
-			os.Exit(2)
-		}
-		rep, err := bench.RunRangeQuery(os.Stdout, *scale, counts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bvbench: rangequery: %v\n", err)
-			os.Exit(1)
-		}
-		writeJSON(rep, *jsonPath, "BENCH_rangequery.json")
 		return
 	}
 

@@ -229,17 +229,16 @@ func nlTimeInserts(tr *bvtree.Tree, pts []geometry.Point, payloadBase uint64) (f
 	return float64(time.Since(start)) / float64(len(pts)), nil
 }
 
-// nlTimeRanges runs one round's range queries on the serial walk
-// (workers pinned to 1 — the layout comparison must not be diluted by
-// the parallel engine) and returns mean ns/query plus items delivered.
+// nlTimeRanges runs one round's range queries and returns mean
+// ns/query plus items delivered.
 func nlTimeRanges(tr *bvtree.Tree, rects []geometry.Rect) (float64, uint64, error) {
 	var items uint64
 	start := time.Now()
 	for _, r := range rects {
-		if err := tr.RangeQueryWorkers(r, func(geometry.Point, uint64) bool {
+		if err := tr.RangeQuery(r, func(geometry.Point, uint64) bool {
 			items++
 			return true
-		}, 1); err != nil {
+		}); err != nil {
 			return 0, 0, err
 		}
 	}

@@ -12,16 +12,23 @@ import (
 
 	"bvtree/internal/geometry"
 	"bvtree/internal/obs"
+	"bvtree/internal/storage"
 	"bvtree/internal/workload"
 )
 
 func buildAllocTree(tb testing.TB, n int) (*Tree, []geometry.Point) {
 	tb.Helper()
-	pts, err := workload.Generate(workload.Uniform, 2, n, 33)
+	tr, err := New(Options{Dims: 2, DataCapacity: 16, Fanout: 8})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr, err := New(Options{Dims: 2, DataCapacity: 16, Fanout: 8})
+	return tr, loadAllocTree(tb, tr, n)
+}
+
+// loadAllocTree inserts n uniform points (payload = index) into tr.
+func loadAllocTree(tb testing.TB, tr *Tree, n int) []geometry.Point {
+	tb.Helper()
+	pts, err := workload.Generate(workload.Uniform, 2, n, 33)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -30,7 +37,7 @@ func buildAllocTree(tb testing.TB, n int) (*Tree, []geometry.Point) {
 			tb.Fatal(err)
 		}
 	}
-	return tr, pts
+	return pts
 }
 
 func TestLookupAllocs(t *testing.T) {
@@ -81,16 +88,12 @@ func TestRangeQueryAllocs(t *testing.T) {
 	tr, _ := buildAllocTree(t, 4000)
 	rect := geometry.UniverseRect(2)
 	count := 0
-	// Pinned to workers=1: the serial reference walk carries the
-	// allocation guarantee. The parallel engine allocates by design
-	// (goroutines, channels, per-batch buffers) and is only engaged when
-	// a query resolves to workers > 1.
 	allocs := testing.AllocsPerRun(20, func() {
 		count = 0
-		err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool {
+		err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool {
 			count++
 			return true
-		}, 1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +106,36 @@ func TestRangeQueryAllocs(t *testing.T) {
 	// per node nor per entry.
 	if allocs > 32 {
 		t.Fatalf("RangeQuery allocates %.1f allocs/op over the whole space, budget 32", allocs)
+	}
+}
+
+// TestCountAllocs is TestRangeQueryAllocs for the count-only traversal,
+// on an in-memory tree and on a paged tree whose decoded-node cache holds
+// every page (a cache miss decodes a fresh page by design).
+func TestCountAllocs(t *testing.T) {
+	mem, _ := buildAllocTree(t, 4000)
+	paged, err := NewPaged(storage.NewMemStore(), Options{Dims: 2, DataCapacity: 16, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadAllocTree(t, paged, 4000)
+	for name, tr := range map[string]*Tree{"mem": mem, "paged": paged} {
+		rect := geometry.UniverseRect(2)
+		count := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if count, err = tr.Count(rect); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if count != 4000 {
+			t.Fatalf("%s: full-space Count = %d, want 4000", name, count)
+		}
+		// A 4000-item tree of 16-item pages has hundreds of pages; the
+		// budget proves the count allocates per page neither.
+		if allocs > 32 {
+			t.Fatalf("%s: Count allocates %.1f allocs/op over the whole space, budget 32", name, allocs)
+		}
 	}
 }
 

@@ -29,9 +29,7 @@ type qtree interface {
 	Len() int
 	Scan(Visitor) error
 	RangeQuery(geometry.Rect, Visitor) error
-	RangeQueryWorkers(geometry.Rect, Visitor, int) error
 	Count(geometry.Rect) (int, error)
-	CountWorkers(geometry.Rect, int) (int, error)
 	Nearest(geometry.Point, int) ([]Neighbor, error)
 	Validate(bool) error
 }
@@ -137,11 +135,7 @@ func columnarWorkload(t *testing.T, kind string, dims, n int) []geometry.Point {
 // TestColumnarDifferential drives identical insert/delete streams
 // through a columnar and a scalar-scan tree on every backend and checks
 // that every read answer is multiset-identical. (Byte-identity of the
-// stores is checked separately on insert-only builds — see
-// TestColumnarEncodedPageIdentity — because delete-triggered guard
-// maintenance makes page layout sensitive to cache-eviction order, a
-// nondeterminism the seed tree already has; query answers are
-// order-independent and compared here for the full mixed workload.)
+// stores is checked by TestColumnarEncodedPageIdentity.)
 func TestColumnarDifferential(t *testing.T) {
 	const dims, n = 2, 2500
 	for _, backend := range []string{"mem", "paged", "durable"} {
@@ -184,8 +178,6 @@ func TestColumnarDifferential(t *testing.T) {
 					a := collect(t, func(v Visitor) error { return cols.RangeQuery(rect, v) })
 					b := collect(t, func(v Visitor) error { return scalar.RangeQuery(rect, v) })
 					equalMultiset(t, fmt.Sprintf("RangeQuery %d", qi), a, b)
-					c := collect(t, func(v Visitor) error { return cols.RangeQueryWorkers(rect, v, 4) })
-					equalMultiset(t, fmt.Sprintf("RangeQueryWorkers %d", qi), a, c)
 					cnt, err := cols.Count(rect)
 					if err != nil {
 						t.Fatal(err)
@@ -193,12 +185,12 @@ func TestColumnarDifferential(t *testing.T) {
 					if cnt != len(a) {
 						t.Fatalf("Count %d: %d, RangeQuery returned %d", qi, cnt, len(a))
 					}
-					wcnt, err := scalar.CountWorkers(rect, 4)
+					scnt, err := scalar.Count(rect)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if wcnt != len(a) {
-						t.Fatalf("scalar CountWorkers %d: %d, want %d", qi, wcnt, len(a))
+					if scnt != len(a) {
+						t.Fatalf("scalar Count %d: %d, want %d", qi, scnt, len(a))
 					}
 				}
 				for qi := 0; qi < 40; qi++ {
@@ -248,25 +240,31 @@ func TestColumnarDifferential(t *testing.T) {
 }
 
 // TestColumnarEncodedPageIdentity builds a columnar and a scalar-scan
-// tree from the same insert-only stream (a deterministic build) on the
-// paged backend and requires every stored page to be byte-identical:
-// the columnar mirror must be invisible in the wire format.
-// Burst (deeply nested) builds are excluded: they trip the same
-// eviction-order sensitivity in guard maintenance that deletes do — the
-// seed tree produces differing page layouts for two identical burst
-// builds — so only the query-level differential covers them.
+// tree from the same insert/delete stream on the paged backend and
+// requires every stored page to be byte-identical: the columnar mirror
+// must be invisible in the wire format. (It also holds the tree to a
+// deterministic build: ties in the index split choice once went by map
+// order, so two builds of one stream could differ.)
 func TestColumnarEncodedPageIdentity(t *testing.T) {
 	const dims, n = 2, 2500
-	for _, kind := range []string{"uniform", "clustered"} {
+	for _, kind := range []string{"uniform", "clustered", "burst"} {
 		t.Run(kind, func(t *testing.T) {
 			pts := columnarWorkload(t, kind, dims, n)
 			cols, scalar, colStore, sclStore := columnarPair(t, "paged", dims)
+			rng := rand.New(rand.NewSource(77))
 			for i, p := range pts {
-				if err := cols.Insert(p, uint64(i)); err != nil {
-					t.Fatal(err)
+				for _, tr := range []qtree{cols, scalar} {
+					if err := tr.Insert(p, uint64(i)); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := scalar.Insert(p, uint64(i)); err != nil {
-					t.Fatal(err)
+				if i%7 == 3 {
+					j := rng.Intn(i + 1)
+					for _, tr := range []qtree{cols, scalar} {
+						if _, err := tr.Delete(pts[j], uint64(j)); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 			}
 			compareStores(t, colStore, sclStore)
@@ -344,7 +342,7 @@ func TestColumnarConcurrent(t *testing.T) {
 					return
 				}
 				rect := rects[r%len(rects)]
-				if err := tr.RangeQueryWorkers(rect, func(geometry.Point, uint64) bool { return true }, 2); err != nil {
+				if err := tr.RangeQuery(rect, func(geometry.Point, uint64) bool { return true }); err != nil {
 					t.Error(err)
 					return
 				}

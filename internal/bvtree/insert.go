@@ -336,24 +336,33 @@ func needsGuard(n *page.IndexNode, e page.Entry) bool {
 // data pages) is blind to promotion chains and can strand an empty or
 // singleton outer node; this chooser degrades gracefully instead,
 // achieving the balanced split whenever one exists. ok is false when no
-// prefix separates the entries.
+// prefix separates the entries. Candidates are scored in first-appearance
+// order and only a strictly better one replaces the incumbent, so the
+// choice depends on the node's entries alone: the same input always
+// builds the same tree.
 func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
-	seen := make(map[string]region.BitString)
+	var cands []region.BitString
+	seen := make(map[string]struct{})
 	for _, e := range n.Entries {
 		for l := n.Region.Len() + 1; l <= e.Key.Len(); l++ {
 			p := e.Key.Prefix(l)
-			seen[p.String()] = p
+			k := p.String()
+			if _, dup := seen[k]; dup {
+				continue
+			}
+			seen[k] = struct{}{}
+			cands = append(cands, p)
 		}
 	}
 	var best region.BitString
 	bestScore, bestProm, bestLen := -1, 1<<30, -1
-	for _, q := range seen {
+	for _, q := range cands {
 		inner, outer, prom := 0, 0, 0
 		for _, e := range n.Entries {
 			switch {
 			case q.IsPrefixOf(e.Key):
 				inner++
-			case e.Key.IsProperPrefixOf(q) && !shieldedFromSplit(n.Entries, e, q):
+			case e.Key.IsProperPrefixOf(q) && !shielded(n, e, q):
 				prom++
 			default:
 				outer++
@@ -378,18 +387,6 @@ func chooseIndexSplit(n *page.IndexNode) (region.BitString, bool) {
 		return region.BitString{}, false
 	}
 	return best, true
-}
-
-// shieldedFromSplit reports whether some entry of en's level among all
-// lies strictly between en and the split prefix q.
-func shieldedFromSplit(all []page.Entry, en page.Entry, q region.BitString) bool {
-	for i := range all {
-		g := &all[i]
-		if g.Level == en.Level && en.Key.IsProperPrefixOf(g.Key) && g.Key.IsPrefixOf(q) {
-			return true
-		}
-	}
-	return false
 }
 
 // shielded reports whether some entry of e's level in n lies strictly
@@ -443,8 +440,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 	}
 
 	var innerEntries, outer, promoted []page.Entry
-	all := n.Entries
-	for _, en := range all {
+	for _, en := range n.Entries {
 		switch {
 		case q.IsPrefixOf(en.Key):
 			innerEntries = append(innerEntries, en)
@@ -456,7 +452,7 @@ func (t *Tree) splitIndexNode(ctx *opCtx, id page.ID, n *page.IndexNode) error {
 			// per level) straddlers are promoted; this is what bounds
 			// guard accumulation to the paper's (x-1) per unpromoted
 			// entry.
-			if shieldedFromSplit(all, en, q) {
+			if shielded(n, en, q) {
 				outer = append(outer, en)
 			} else {
 				promoted = append(promoted, en)

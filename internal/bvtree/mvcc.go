@@ -412,30 +412,7 @@ func (s *snapNodes) Data(id page.ID) (*page.DataPage, error) {
 	return p, err
 }
 
-// dataBatch implements dataBatcher for pinned views: the live batched
-// read runs first, then every page a writer has superseded since the
-// pin is overridden from its version chain.
-func (s *snapNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
-	pages, blobs, miss, err := s.pn.dataBatch(ids, pages, blobs, miss)
-	if err != nil {
-		return pages, blobs, miss, err
-	}
-	if s.mv.nOld.Load() == 0 {
-		return pages, blobs, miss, nil
-	}
-	for i, id := range ids {
-		if v, ok := s.mv.resolve(id, s.pin); ok {
-			dp, err := asData(id, v)
-			if err != nil {
-				return pages, blobs, miss, err
-			}
-			pages[i], blobs[i] = dp, nil
-		}
-	}
-	return pages, blobs, miss, nil
-}
-
-// prefetch implements dataBatcher. Warming the live store is still a
+// prefetch implements prefetcher. Warming the live store is still a
 // valid hint under a pin: chain overrides bypass it harmlessly.
 func (s *snapNodes) prefetch(ids []page.ID, scratch []page.ID) []page.ID {
 	return s.pn.prefetch(ids, scratch)
@@ -477,7 +454,7 @@ func (t *Tree) newView(pin uint64) *Tree {
 		tracer:    t.tracer,
 	}
 	if t.paged != nil {
-		v.bsrc = sn
+		v.pre = sn
 	}
 	return v
 }

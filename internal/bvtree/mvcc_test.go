@@ -263,16 +263,16 @@ func TestSnapshotDifferentialPaged(t *testing.T) {
 	}
 }
 
-// TestSnapshotParallelEngine runs the parallel range engine on a pinned
-// snapshot while writers churn, and checks the result against the
-// commit-point shadow — the engine's workers traverse with no tree lock
-// at all, so this is the racing path the -race run exists for.
-func TestSnapshotParallelEngine(t *testing.T) {
+// TestSnapshotDifferentialRange runs range queries and counts on a
+// pinned snapshot while writers churn, and checks the results against
+// the commit-point shadow — the traversal holds no tree lock at all, so
+// this is the racing path the -race run exists for.
+func TestSnapshotDifferentialRange(t *testing.T) {
 	pts, err := workload.Generate(workload.Uniform, 2, 6000, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8, RangeWorkers: 4})
+	tr, err := New(Options{Dims: 2, DataCapacity: 8, Fanout: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +316,27 @@ func TestSnapshotParallelEngine(t *testing.T) {
 	}
 	defer s.Release()
 	got := map[uint64]geometry.Point{}
-	var gotMu sync.Mutex
-	if err := s.v.RangeQueryWorkers(UniverseRectFor(tr), func(p geometry.Point, payload uint64) bool {
-		gotMu.Lock()
+	if err := s.Scan(func(p geometry.Point, payload uint64) bool {
 		got[payload] = p.Clone()
-		gotMu.Unlock()
 		return true
-	}, 4); err != nil {
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A window over the lower half of dimension 0, counted and visited.
+	rect := UniverseRectFor(tr)
+	rect.Max[0] /= 2
+	inWindow := 0
+	for _, p := range want {
+		if rect.Contains(p) {
+			inWindow++
+		}
+	}
+	visited := 0
+	if err := s.RangeQuery(rect, func(geometry.Point, uint64) bool { visited++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	counted, err := s.Count(rect)
+	if err != nil {
 		t.Fatal(err)
 	}
 	writers.Wait()
@@ -330,7 +344,10 @@ func TestSnapshotParallelEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := diffSets(want, got); err != nil {
-		t.Fatalf("parallel engine on snapshot: %v", err)
+		t.Fatalf("snapshot scan: %v", err)
+	}
+	if visited != inWindow || counted != inWindow {
+		t.Fatalf("snapshot window: RangeQuery %d, Count %d, shadow %d", visited, counted, inWindow)
 	}
 }
 

@@ -128,8 +128,8 @@ func (t *Tree) nearestLocked(p geometry.Point, k int) ([]Neighbor, error) {
 				}
 			}
 		}
-		if t.bsrc != nil && len(pfIDs) > 1 {
-			pfScratch = t.bsrc.prefetch(pfIDs, pfScratch)
+		if t.pre != nil && len(pfIDs) > 1 {
+			pfScratch = t.pre.prefetch(pfIDs, pfScratch)
 		}
 	}
 

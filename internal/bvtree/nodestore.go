@@ -27,12 +27,11 @@ type NodeStore interface {
 	Free(id page.ID) error
 }
 
-// dataBatcher is the batched-read seam of the range-query engine,
-// implemented by the decoded cache of a paged tree and by the
-// chain-resolving node source of a pinned view. Trees expose it as
-// Tree.bsrc so the engine runs identically on live trees and snapshots.
-type dataBatcher interface {
-	dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error)
+// prefetcher is the read-ahead seam of Nearest, implemented by the
+// decoded cache of a paged tree and by the chain-resolving node source of
+// a pinned view. Trees expose it as Tree.pre so the search runs
+// identically on live trees and snapshots.
+type prefetcher interface {
 	prefetch(ids []page.ID, scratch []page.ID) []page.ID
 }
 
@@ -160,11 +159,9 @@ type pagedNodes struct {
 	size   atomic.Int64 // total cached nodes across shards
 	shards [cacheShards]nodeShard
 
-	// br/pf are the store's optional batched-read and prefetch seams,
-	// resolved once at construction. Either may be nil (a fault-injecting
-	// wrapper, say, implements only the plain Store), in which case the
-	// range engine falls back to per-node reads.
-	br storage.BatchReader
+	// pf is the store's optional prefetch seam, resolved once at
+	// construction; nil when the store has none (a fault-injecting
+	// wrapper, say, implements only the plain Store).
 	pf storage.Prefetcher
 }
 
@@ -173,7 +170,6 @@ func newPagedNodes(st storage.Store, dims, cacheNodes int) *pagedNodes {
 		cacheNodes = 4096
 	}
 	s := &pagedNodes{st: st, dims: dims, cap: cacheNodes}
-	s.br, _ = st.(storage.BatchReader)
 	s.pf, _ = st.(storage.Prefetcher)
 	for i := range s.shards {
 		s.shards[i].nodes = make(map[page.ID]cacheEntry)
@@ -326,59 +322,6 @@ func (s *pagedNodes) Data(id page.ID) (*page.DataPage, error) {
 	p.SyncDataCols(s.dims)
 	s.cachePut(id, p)
 	return p, nil
-}
-
-// dataBatch fetches the data pages named by ids for a streaming scan.
-// On success pages, blobs and miss (reused from the caller's scratch)
-// are resized to describe every id: pages[i] is set when the decoded
-// cache already held the page, otherwise blobs[i] holds the raw encoded
-// page, fetched together with the other misses through one batched read
-// when the store supports it. Fetched blobs are deliberately NOT decoded
-// into (or admitted to) the decoded cache: a low-selectivity range scan
-// would flush the working set the point-query path relies on, and the
-// engine decodes blobs into per-worker scratch instead.
-func (s *pagedNodes) dataBatch(ids []page.ID, pages []*page.DataPage, blobs [][]byte, miss []page.ID) ([]*page.DataPage, [][]byte, []page.ID, error) {
-	pages, blobs, miss = pages[:0], blobs[:0], miss[:0]
-	for _, id := range ids {
-		if v, ok := s.cacheGet(id); ok {
-			dp, ok := v.(*page.DataPage)
-			if !ok {
-				return pages, blobs, miss, fmt.Errorf("bvtree: page %d is not a data page", id)
-			}
-			pages, blobs = append(pages, dp), append(blobs, nil)
-			continue
-		}
-		pages, blobs = append(pages, nil), append(blobs, nil)
-		miss = append(miss, id)
-	}
-	if len(miss) == 0 {
-		return pages, blobs, miss, nil
-	}
-	if s.br != nil && len(miss) > 1 {
-		got, err := s.br.ReadNodes(miss)
-		if err != nil {
-			return pages, blobs, miss, err
-		}
-		j := 0
-		for i := range ids {
-			if pages[i] == nil {
-				blobs[i] = got[j]
-				j++
-			}
-		}
-		return pages, blobs, miss, nil
-	}
-	for i, id := range ids {
-		if pages[i] != nil {
-			continue
-		}
-		blob, err := s.st.ReadNode(id)
-		if err != nil {
-			return pages, blobs, miss, err
-		}
-		blobs[i] = blob
-	}
-	return pages, blobs, miss, nil
 }
 
 // prefetch hints the store to warm the pages of ids that are not already

@@ -46,13 +46,6 @@ type Options struct {
 	// CacheNodes bounds the decoded-node cache of a paged tree
 	// (default 4096); ignored by in-memory trees.
 	CacheNodes int
-	// RangeWorkers is the default worker-pool width of range queries
-	// (RangeQuery, PartialMatch, Scan, Count). 0 uses GOMAXPROCS; 1 keeps
-	// every query on the serial reference walk; n > 1 lets a query whose
-	// frontier branches fan its subtrees out to at most n workers.
-	// Individual queries can override it (RangeQueryWorkers,
-	// CountWorkers). Negative values are rejected.
-	RangeWorkers int
 	// Metrics enables the per-operation latency and shape histograms
 	// reported by (*Tree).Metrics. The structural event counters (OpStats)
 	// are always on; this switch only controls the histograms, whose cost
@@ -90,9 +83,6 @@ func (o *Options) fill() error {
 	if o.BitsPerDim < 1 || o.BitsPerDim > 64 {
 		return fmt.Errorf("bvtree: BitsPerDim %d out of range 1..64", o.BitsPerDim)
 	}
-	if o.RangeWorkers < 0 {
-		return fmt.Errorf("bvtree: negative RangeWorkers %d", o.RangeWorkers)
-	}
 	return nil
 }
 
@@ -119,9 +109,9 @@ type OpStats = obs.TreeCountersSnapshot
 //     (mvcc.go).
 //
 // The guard-set exact-match search (§3), range traversal and best-first
-// kNN keep all scratch state (guard sets, visit stacks, candidate heaps)
-// on the operation's own stack and never write to nodes, which is what
-// makes the shared-lock read path sound; the only shared mutable state
+// kNN keep all scratch state (guard sets, the range walk, candidate
+// heaps) on the operation's own stack and never write to nodes, which is
+// what makes the shared-lock read path sound; the only shared mutable state
 // they touch is the OpStats counters (atomic), the decoded-node caches
 // (internally synchronised, see pagedNodes and the storage stores) and
 // the epoch/version machinery (mvccState, internally synchronised).
@@ -154,11 +144,11 @@ type Tree struct {
 	tracer obs.Tracer
 
 	paged *pagedNodes // non-nil when backed by a storage.Store
-	// bsrc is the batched-read seam used by the range engine: the decoded
-	// cache itself for a live paged tree, a chain-resolving wrapper for a
-	// pinned view, nil for in-memory trees.
-	bsrc dataBatcher
-	bst  storage.Store
+	// pre is the read-ahead seam used by Nearest: the decoded cache itself
+	// for a live paged tree, a chain-resolving wrapper for a pinned view,
+	// nil for in-memory trees.
+	pre prefetcher
+	bst storage.Store
 
 	// mv is the snapshot/epoch machinery (see mvcc.go); nil only on the
 	// immutable view trees mv itself creates.
@@ -235,7 +225,7 @@ func OpenPaged(st storage.Store, cacheNodes int) (*Tree, error) {
 		opt:       opt,
 		il:        il,
 		paged:     pn,
-		bsrc:      pn,
+		pre:       pn,
 		bst:       st,
 		root:      m.Root,
 		rootLevel: m.RootLevel,
@@ -280,7 +270,7 @@ func newTree(ns NodeStore, pn *pagedNodes, bst storage.Store, opt Options) (*Tre
 	}
 	t := &Tree{st: ns, opt: opt, il: il, paged: pn, bst: bst, stats: &obs.TreeCounters{}}
 	if pn != nil {
-		t.bsrc = pn
+		t.pre = pn
 	}
 	t.mv = newMVCCState(ns.Free)
 	if opt.Metrics {

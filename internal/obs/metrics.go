@@ -54,15 +54,16 @@ type TreeCountersSnapshot struct {
 	SoftOverflows uint64 `json:"soft_overflows"`
 	// RootGrowths counts increments of the index height.
 	RootGrowths uint64 `json:"root_growths"`
-	// RangeTasks counts subtree tasks executed by the parallel range
-	// engine (zero while queries stay on the serial walk).
+	// RangeTasks counts index nodes expanded by range and count
+	// traversals (RangeQuery, Scan, PartialMatch, Count).
 	RangeTasks uint64 `json:"range_tasks"`
-	// RangeFullPages counts data pages the range engine emitted or
-	// counted through the full-containment fast path, i.e. without a
-	// per-point rectangle test.
+	// RangeFullPages counts data pages a range or count traversal took
+	// through the full-containment fast path, i.e. without a per-point
+	// rectangle test.
 	RangeFullPages uint64 `json:"range_full_pages"`
-	// RangeBatchPages counts data pages the range engine fetched through
-	// the store's batched read seam instead of point reads.
+	// RangeBatchPages is no longer incremented and always reads 0: range
+	// traversals fetch every page through the decoded-node cache. It
+	// stays so that existing readers of the counter keep compiling.
 	RangeBatchPages uint64 `json:"range_batch_pages"`
 	// BatchTests counts batched predicate passes over a node's columnar
 	// mirror (one per node whose entries were tested as columns rather
@@ -108,7 +109,6 @@ type TreeMetrics struct {
 	DescentDepth Histogram // nodes visited per exact-match descent (sampled)
 	GuardSet     Histogram // max guard-set size per descent (sampled; paper bound: ≤ x−1)
 	BatchSize    Histogram // operations per applied batch
-	RangeFanout  Histogram // qualifying children per parallel range-engine task
 
 	descentSeq atomic.Uint64 // drives the 1-in-descentSampleRate shape sampling
 }
@@ -151,7 +151,6 @@ type TreeSnapshot struct {
 	DescentDepth HistogramSnapshot `json:"descent_depth"`
 	GuardSet     HistogramSnapshot `json:"guard_set"`
 	BatchSize    HistogramSnapshot `json:"batch_size"`
-	RangeFanout  HistogramSnapshot `json:"range_fanout"`
 }
 
 // Snapshot summarises the histograms.
@@ -167,7 +166,6 @@ func (m *TreeMetrics) Snapshot() TreeSnapshot {
 		DescentDepth:   m.DescentDepth.Snapshot(),
 		GuardSet:       m.GuardSet.Snapshot(),
 		BatchSize:      m.BatchSize.Snapshot(),
-		RangeFanout:    m.RangeFanout.Snapshot(),
 	}
 }
 

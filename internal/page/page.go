@@ -189,100 +189,45 @@ func DecodeIndex(b []byte) (*IndexNode, error) {
 	return n, r.err
 }
 
-// DecodeData deserialises a data page. It is AppendDataItems into an
-// empty page: the page's coordinates share one capacity-capped arena, so
-// a decode costs a fixed number of allocations whatever the item count.
+// DecodeData deserialises a data page. The page's coordinates share one
+// capacity-capped arena, so a decode costs a fixed number of allocations
+// whatever the item count; every point is a capacity-capped slice of the
+// arena, so appending to one never overwrites its neighbour.
 func DecodeData(b []byte) (*DataPage, int, error) {
-	p := &DataPage{}
-	var dims int
-	var err error
-	p.Region, dims, p.Items, _, err = decodeData(b, nil, nil)
+	r, err := newReader(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	return p, dims, nil
-}
-
-// AppendDataItems decodes the items of an encoded data page, appending
-// them to dst with their point coordinates packed into coords, and
-// returns the extended slices. dst and coords each grow at most once per
-// page, whatever its item count; every point is a capacity-capped slice
-// of coords. Appending to coords may relocate its backing array; points
-// appended by earlier calls keep referencing the old array, so
-// previously returned items stay valid.
-func AppendDataItems(b []byte, dst []Item, coords []uint64) ([]Item, []uint64, error) {
-	_, _, dst, coords, err := decodeData(b, dst, coords)
-	return dst, coords, err
-}
-
-// decodeData is the one data-page decoder behind DecodeData and
-// AppendDataItems; it also returns the page region and dimensionality.
-func decodeData(b []byte, dst []Item, coords []uint64) (region.BitString, int, []Item, []uint64, error) {
-	var reg region.BitString
-	r, err := newReader(b)
-	if err != nil {
-		return reg, 0, dst, coords, err
-	}
 	if r.kind != KindData {
-		return reg, 0, dst, coords, fmt.Errorf("page: expected data page, found kind %d", r.kind)
+		return nil, 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
 	}
 	dims := int(r.u32())
 	if dims < 1 || dims > geometry.MaxDims {
-		return reg, 0, dst, coords, fmt.Errorf("page: implausible dimensionality %d", dims)
+		return nil, 0, fmt.Errorf("page: implausible dimensionality %d", dims)
 	}
-	reg = r.bits()
+	p := &DataPage{Region: r.bits()}
 	count := int(r.u32())
 	if count < 0 || count > 1<<24 {
-		return reg, 0, dst, coords, fmt.Errorf("page: implausible item count %d", count)
+		return nil, 0, fmt.Errorf("page: implausible item count %d", count)
 	}
 	if !r.need(count * (dims + 1) * 8) {
-		return reg, 0, dst, coords, r.err
+		return nil, 0, r.err
 	}
-	// Grow both slices once for the whole page, so the per-item point
-	// headers sliced below cannot be invalidated by a mid-page relocation.
-	if cap(dst)-len(dst) < count {
-		grown := make([]Item, len(dst), len(dst)+count)
-		copy(grown, dst)
-		dst = grown
-	}
-	base := len(coords)
-	if cap(coords)-base < count*dims {
-		grown := make([]uint64, base, base+count*dims)
-		copy(grown, coords)
-		coords = grown
-	}
-	coords = coords[:base+count*dims]
-	for i := 0; i < count; i++ {
-		pt := coords[base+i*dims : base+(i+1)*dims : base+(i+1)*dims]
-		for d := 0; d < dims; d++ {
-			pt[d] = r.u64()
+	if count > 0 {
+		p.Items = make([]Item, count)
+		coords := make([]uint64, count*dims)
+		for i := range p.Items {
+			pt := coords[i*dims : (i+1)*dims : (i+1)*dims]
+			for d := range pt {
+				pt[d] = r.u64()
+			}
+			p.Items[i] = Item{Point: pt, Payload: r.u64()}
 		}
-		dst = append(dst, Item{Point: pt, Payload: r.u64()})
 	}
-	return reg, dims, dst, coords, r.err
-}
-
-// DecodeDataCount returns the item count of an encoded data page without
-// decoding the items. It is the whole cost of counting a data page whose
-// region is fully contained in a query rectangle.
-func DecodeDataCount(b []byte) (int, error) {
-	r, err := newReader(b)
-	if err != nil {
-		return 0, err
+	if r.err != nil {
+		return nil, 0, r.err
 	}
-	if r.kind != KindData {
-		return 0, fmt.Errorf("page: expected data page, found kind %d", r.kind)
-	}
-	dims := int(r.u32())
-	if dims < 1 || dims > geometry.MaxDims {
-		return 0, fmt.Errorf("page: implausible dimensionality %d", dims)
-	}
-	r.bits()
-	count := int(r.u32())
-	if count < 0 || count > 1<<24 {
-		return 0, fmt.Errorf("page: implausible item count %d", count)
-	}
-	return count, r.err
+	return p, dims, nil
 }
 
 // --- encoding primitives ---
